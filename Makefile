@@ -2,10 +2,9 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-shapes bench-json serve-bench trace-smoke trace-parallel-smoke \
+.PHONY: test bench bench-shapes bench-json serve-bench trace-smoke \
 	report fuzz examples all \
-	perf-report perf-gate metrics-smoke introspection-smoke cache-smoke \
-	bench-vectorized bench-parallel parity
+	perf-report perf-gate metrics-smoke introspection-smoke cache-smoke parity
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -31,20 +30,11 @@ perf-report:
 perf-gate: perf-report
 	$(PYTHON) scripts/perf_gate.py $(PERF_GATE_FLAGS)
 
-# Batch-vs-row throughput on the workload queries (docs/vectorized.md).
-bench-vectorized:
-	$(PYTHON) -m repro.bench.vectorized --json VECTORIZED_report.json
-
-# Parallel scatter-gather vs sequential batch on the join-heavy queries
-# (docs/parallel.md). The speedup floor applies only with cores >= parts.
-bench-parallel:
-	$(PYTHON) -m repro.bench.parallel --json PARALLEL_report.json
-
-# The execution-mode parity suites: batch/row property tests
-# (hypothesis-chosen batch sizes) and parallel/sequential scatter-gather.
+# The executor against the interpreter: every workload query and random
+# plans, across batch sizes and forced join algorithms.
 parity:
 	$(PYTHON) -m pytest tests/engine/test_batch_parity.py tests/engine/test_batch.py \
-		tests/engine/test_parallel.py -q
+		tests/algebra/test_plan_fuzz.py -q
 
 # Start a metrics endpoint over a live service, scrape once, validate.
 metrics-smoke:
@@ -59,17 +49,12 @@ cache-smoke:
 
 # Live introspection end to end: scrape a slow query mid-flight via
 # GET /queries, cancel it by id, and check the admit->cancel event trail
-# (sequential and parallel execution modes; docs/observability.md).
+# (docs/observability.md).
 introspection-smoke:
 	$(PYTHON) scripts/introspection_smoke.py
 
 trace-smoke:
 	$(PYTHON) scripts/trace_smoke.py
-
-# Multi-process tracing: a parallel query's merged Chrome export must
-# show per-worker pid lanes and telemetry columns (docs/parallel.md).
-trace-parallel-smoke:
-	$(PYTHON) scripts/trace_parallel_smoke.py
 
 report:
 	$(PYTHON) -m repro.bench

@@ -5,11 +5,7 @@ workload from :mod:`repro.server.workload`, an 8-worker ``QueryService``
 achieves at least 2.5x the throughput of a sequential loop that executes
 the same requests one at a time through ``prepared()`` — with zero oracle
 mismatches against the interpreter engine and zero lost requests (every
-submitted request gets exactly one response). The bar was 3x when the
-sequential loop ran the row engine; vectorized batch execution
-(``docs/vectorized.md``) made the uncached per-request cost cheaper, so
-the relative win from result caching and coalescing shrank even though
-absolute throughput rose on both sides.
+submitted request gets exactly one response).
 
 The win under the GIL comes from the serving layers, not CPU parallelism:
 the version-keyed result cache answers repeats without even re-parsing,

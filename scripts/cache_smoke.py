@@ -1,9 +1,8 @@
 """Smoke-test cache memory accounting end to end (``make cache-smoke``).
 
 Starts a real :class:`QueryService` over the mixed workload catalog,
-warms every cache layer — plan, build, result, and the parallel pool's
-shard catalogs (one query is forced through ``execution="parallel"``) —
-then validates the three accounting surfaces:
+warms all three cache layers — plan, build, result — then validates the
+three accounting surfaces:
 
 1. ``GET /caches`` reports every registered cache with nonzero bytes and
    top entries that carry identity (kind/uid/version/keys for the build
@@ -34,12 +33,11 @@ def expect(condition: bool, message: str) -> None:
 
 def main() -> None:
     from repro.core.log import clear_events, events_snapshot
-    from repro.core.pipeline import prepared, set_plan_cache_budget
+    from repro.core.pipeline import set_plan_cache_budget
     from repro.engine.cache import set_build_cache_budget
     from repro.server.exposition import parse_prometheus, serve_metrics
     from repro.server.service import QueryService
     from repro.server.workload import make_requests, mixed_catalog
-    from repro.workloads import COUNT_BUG_NESTED
 
     catalog = mixed_catalog(seed=13, n_left=60, n_right=240, n_chain=12)
     requests = make_requests(150, seed=13)
@@ -51,10 +49,6 @@ def main() -> None:
             all(r.error is None for r in responses),
             "workload produced request errors",
         )
-        # One parallel execution populates the worker shard catalogs.
-        parallel_rows = prepared(COUNT_BUG_NESTED, catalog).execute(
-            catalog, execution="parallel", parts=2
-        )
         with serve_metrics(service) as server:
             with urllib.request.urlopen(f"{server.url}/caches", timeout=5) as resp:
                 expect(resp.status == 200, f"/caches returned {resp.status}")
@@ -63,7 +57,7 @@ def main() -> None:
                 text = resp.read().decode("utf-8")
 
     caches = snap["caches"]
-    for name in ("plan", "build", "result", "shard-catalog"):
+    for name in ("plan", "build", "result"):
         expect(name in caches, f"cache {name!r} not registered")
         expect(
             caches[name].get("bytes", 0) > 0,
@@ -89,11 +83,6 @@ def main() -> None:
         bool(result_top) and "catalog_version" in result_top[0]["key"],
         f"result top entries lack identity: {result_top}",
     )
-    shard_top = caches["shard-catalog"]["top_entries"]
-    expect(
-        bool(shard_top) and all("tables" in e and "workers" in e for e in shard_top),
-        f"shard-catalog top entries lack identity: {shard_top}",
-    )
 
     samples = parse_prometheus(text)  # raises ValueError on malformed output
     byte_caches = {
@@ -102,7 +91,7 @@ def main() -> None:
         if key[0] == "repro_cache_bytes"
     }
     expect(
-        {"plan", "build", "result", "shard-catalog"} <= byte_caches,
+        {"plan", "build", "result"} <= byte_caches,
         f"cache_bytes family incomplete: {sorted(byte_caches)}",
     )
     expect(
@@ -128,10 +117,6 @@ def main() -> None:
                     r.value == baseline[r.request_id],
                     f"budgeted result diverged for {r.request_id}",
                 )
-            parallel_again = prepared(COUNT_BUG_NESTED, catalog).execute(
-                catalog, execution="parallel", parts=2
-            )
-            expect(parallel_again == parallel_rows, "budgeted parallel run diverged")
             squeezed_caches = squeezed.caches()["caches"]
     finally:
         set_plan_cache_budget(None)

@@ -1,13 +1,10 @@
 """Smoke-test live query introspection end to end (``make introspection-smoke``).
 
-For each execution mode (sequential batch, then parallel scatter-gather):
-
 1. start a real :class:`QueryService` over a large R/S catalog and
    attach the admin endpoint with :func:`serve_metrics`;
 2. submit a deliberately slow query (the COUNT-bug join over ~400k
    rows) and scrape ``GET /queries`` until the request shows up
-   mid-flight — for the sequential service, keep scraping until its
-   progress fraction is strictly inside (0, 1);
+   mid-flight with a progress fraction strictly inside (0, 1);
 3. cancel it by id with ``POST /queries/<id>/cancel`` and require the
    response future to resolve to outcome ``"cancelled"`` within a
    deadline — the admin cancel must actually stop the operators, not
@@ -56,25 +53,23 @@ def post(url: str) -> tuple[int, dict]:
         return exc.code, json.loads(exc.read())
 
 
-def run_mode(catalog, slow_query: str, execution: str) -> None:
+def run(catalog, slow_query: str) -> None:
     from repro.server.exposition import serve_metrics
     from repro.server.request import QueryRequest
     from repro.server.service import QueryService
 
-    with QueryService(catalog, workers=2, execution=execution) as service:
+    with QueryService(catalog, workers=2) as service:
         with serve_metrics(service) as server:
             health = get_json(f"{server.url}/healthz")
             for key in ("status", "uptime_seconds", "in_flight", "queue_depth"):
-                expect(key in health, f"[{execution}] /healthz lacks {key!r}: {health}")
+                expect(key in health, f"/healthz lacks {key!r}: {health}")
 
             request = QueryRequest(slow_query, timeout=120.0)
             future = service.submit(request)
 
-            # Scrape until the request is visibly mid-flight. Sequential
-            # execution feeds the progress sink from operator polls, so
-            # also require a progress fraction strictly inside (0, 1);
-            # parallel fragments run in worker processes and fold their
-            # counts only at gather, so there presence suffices.
+            # Scrape until the request is visibly mid-flight: operator
+            # polls feed the progress sink, so require a progress
+            # fraction strictly inside (0, 1).
             deadline = time.monotonic() + SCRAPE_DEADLINE_SECONDS
             entry = None
             while time.monotonic() < deadline:
@@ -86,35 +81,34 @@ def run_mode(catalog, slow_query: str, execution: str) -> None:
                 ]
                 if live:
                     entry = live[0]
-                    if execution == "parallel" or 0.0 < entry["progress"] < 1.0:
+                    if 0.0 < entry["progress"] < 1.0:
                         break
                 if future.done():
                     expect(
                         False,
-                        f"[{execution}] query finished before it could be "
+                        "query finished before it could be "
                         f"observed mid-flight: {future.result().outcome}",
                     )
                 time.sleep(0.05)
             expect(
                 entry is not None,
-                f"[{execution}] query never appeared in GET /queries",
+                "query never appeared in GET /queries",
             )
             expect(
                 entry["state"] == "running",
-                f"[{execution}] expected a running entry, got {entry['state']}",
+                f"expected a running entry, got {entry['state']}",
             )
-            if execution != "parallel":
-                expect(
-                    0.0 < entry["progress"] < 1.0,
-                    f"[{execution}] mid-flight progress not in (0,1): "
-                    f"{entry['progress']} ({entry['rows_processed']} of "
-                    f"{entry['estimated_rows']} estimated rows)",
-                )
+            expect(
+                0.0 < entry["progress"] < 1.0,
+                "mid-flight progress not in (0,1): "
+                f"{entry['progress']} ({entry['rows_processed']} of "
+                f"{entry['estimated_rows']} estimated rows)",
+            )
 
             in_flight = get_json(f"{server.url}/healthz")["in_flight"]
             expect(
                 in_flight >= 1,
-                f"[{execution}] /healthz in_flight should be >= 1, got {in_flight}",
+                f"/healthz in_flight should be >= 1, got {in_flight}",
             )
 
             status, body = post(
@@ -122,7 +116,7 @@ def run_mode(catalog, slow_query: str, execution: str) -> None:
             )
             expect(
                 status == 200 and body.get("cancelled") is True,
-                f"[{execution}] cancel POST failed: {status} {body}",
+                f"cancel POST failed: {status} {body}",
             )
 
             start = time.monotonic()
@@ -130,7 +124,7 @@ def run_mode(catalog, slow_query: str, execution: str) -> None:
             cancel_latency = time.monotonic() - start
             expect(
                 response.outcome == "cancelled",
-                f"[{execution}] expected outcome 'cancelled', got "
+                "expected outcome 'cancelled', got "
                 f"{response.outcome!r} ({response.error})",
             )
 
@@ -138,7 +132,7 @@ def run_mode(catalog, slow_query: str, execution: str) -> None:
             status, body = post(f"{server.url}/queries/no-such-id/cancel")
             expect(
                 status == 404 and body.get("cancelled") is False,
-                f"[{execution}] unknown-id cancel should 404: {status} {body}",
+                f"unknown-id cancel should 404: {status} {body}",
             )
 
             events = [
@@ -149,12 +143,12 @@ def run_mode(catalog, slow_query: str, execution: str) -> None:
             kinds = [e["event"] for e in events]
             expect(
                 "admit" in kinds and "cancel" in kinds,
-                f"[{execution}] event log lacks admit->cancel for "
+                "event log lacks admit->cancel for "
                 f"{request.request_id}: {kinds}",
             )
             expect(
                 kinds.index("admit") < kinds.index("cancel"),
-                f"[{execution}] admit must precede cancel: {kinds}",
+                f"admit must precede cancel: {kinds}",
             )
 
             recent = get_json(f"{server.url}/queries")["recent"]
@@ -163,11 +157,11 @@ def run_mode(catalog, slow_query: str, execution: str) -> None:
             ]
             expect(
                 bool(finished) and finished[0]["state"] == "cancelled",
-                f"[{execution}] cancelled query missing from recent pane",
+                "cancelled query missing from recent pane",
             )
 
     print(
-        f"introspection-smoke [{execution}] ok: observed "
+        "introspection-smoke ok: observed "
         f"progress={entry['progress']:.3f} "
         f"({entry['rows_processed']} rows, op={entry['current_op']}), "
         f"cancelled in {cancel_latency * 1e3:.0f}ms, "
@@ -184,9 +178,7 @@ def main() -> None:
     # enough to scrape mid-flight, fast enough for CI if cancel fails.
     catalog = mixed_catalog(seed=3, n_left=40000, n_right=240000)
     clear_events()
-    run_mode(catalog, COUNT_BUG_NESTED, "batch")
-    run_mode(catalog, COUNT_BUG_NESTED, "parallel")
-    print("introspection-smoke ok: sequential and parallel modes")
+    run(catalog, COUNT_BUG_NESTED)
 
 
 if __name__ == "__main__":

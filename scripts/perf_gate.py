@@ -44,10 +44,6 @@ REQUIRED_BENCH_KEYS = (
     "runs",
     "rows",
     "throughput_qps",
-    "row_throughput_qps",
-    "batch_speedup",
-    "parallel_throughput_qps",
-    "parallel_speedup",
     "latency_ms",
     "qerror_max",
 )

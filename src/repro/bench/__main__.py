@@ -88,7 +88,6 @@ def _print_perf(perf: dict) -> None:
         lat = bench["latency_ms"]
         print(
             f"  {name:24s} {bench['throughput_qps']:10.1f} q/s"
-            f"  ({bench['batch_speedup']:.2f}x row mode)"
             f"  p50={lat['p50']:.3f}ms p95={lat['p95']:.3f}ms"
             f"  qerr_max={bench['qerror_max']:.2f}"
         )

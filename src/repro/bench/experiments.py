@@ -29,6 +29,7 @@ from repro.bench.harness import ResultTable, fmt_seconds, speedup, time_best
 from repro.core.classify import classify
 from repro.core.normalize import normalize_predicate
 from repro.core.pipeline import prepare, run_query
+from repro.engine.cache import clear_build_cache
 from repro.engine.executor import run_physical
 from repro.engine.table import Catalog
 from repro.lang.parser import parse
@@ -377,18 +378,24 @@ def e11_semijoin_vs_nestjoin(sizes: tuple[int, ...] = (200, 400, 800)) -> Result
         query = "SELECT r FROM R r WHERE r.b IN (SELECT s.d FROM S s WHERE r.c = s.c)"
         tr = prepare(query, cat)
         assert tr.join_kinds() == ["semijoin"]
-        semi_fn = lambda: run_query(query, cat, engine="physical").value
-        semi = semi_fn()
+        semi = run_query(query, cat, engine="physical").value
         # The grouped alternative the classifier lets us skip:
         grouped_plan = Select(
             NestJoin(Scan("R", "r"), Scan("S", "s"), parse("r.c = s.c"), parse("s.d"), "zs"),
             parse("r.b IN zs"),
         )
         grouped = frozenset(row["r"] for row in run_physical(grouped_plan, cat))
-        t_semi = time_best(semi_fn, 3)
-        t_group = time_best(lambda: run_physical(grouped_plan, cat), 3)
+
+        # Both plans compiled and run the same way, both cold: warm, the
+        # cached group table hides the grouping cost the semijoin saves.
+        def cold(plan):
+            clear_build_cache()
+            run_physical(plan, cat)
+
+        t_semi = time_best(lambda: cold(tr.plan), 3)
+        t_group = time_best(lambda: cold(grouped_plan), 3)
         table.add(n, fmt_seconds(t_semi), fmt_seconds(t_group), f"{speedup(t_group, t_semi):.2f}x", semi == grouped)
-    table.note("the semijoin needs no group materialisation and can stop at the first match")
+    table.note("cold build cache on both sides: the semijoin needs no group materialisation")
     return table
 
 
@@ -513,7 +520,6 @@ def e16_prepared_serving(
     the steady serving state: every layer hits.
     """
     from repro.core.pipeline import clear_plan_cache, prepared
-    from repro.engine.cache import clear_build_cache
 
     workload = make_join_workload(n_left=n_left, n_right=n_right, fanout=4, seed=11)
     catalog = workload.catalog

@@ -39,13 +39,6 @@ __all__ = [
 
 #: Bump on any structural change to the report dict; the gate refuses to
 #: diff reports with mismatched versions.
-#: v2: per-benchmark ``row_throughput_qps`` and ``batch_speedup`` — the
-#: primary ``throughput_qps`` now measures the default (vectorized batch)
-#: execution mode, with the row-mode figure alongside for the ratio.
-#: v3: per-benchmark ``parallel_throughput_qps`` and ``parallel_speedup``
-#: (multiprocess scatter-gather at ``config["parts"]`` partitions vs the
-#: sequential batch figure; see docs/parallel.md). The speedup is
-#: recorded, never gated — it depends on the machine's core count.
 #: v4: report-level ``introspection`` section — ``overhead_pct`` measures
 #: the cost of live introspection (registry progress counters piggybacked
 #: on cancellation polls, plus admission/completion events in the
@@ -56,7 +49,10 @@ __all__ = [
 #: pass of :mod:`repro.engine.memsize`) over a serving lifecycle: one
 #: cold pass that rebuilds and sizes every artifact, then warm re-serves
 #: until the next invalidation. Gated like introspection (default 5%).
-SCHEMA_VERSION = 5
+#: v6: one executor — the per-benchmark ``row_throughput_qps``,
+#: ``batch_speedup``, ``parallel_throughput_qps`` and ``parallel_speedup``
+#: of v2/v3 and ``config["parts"]`` are gone with the modes they timed.
+SCHEMA_VERSION = 6
 
 #: name → query text: every named workload query, in declaration order.
 PERF_QUERIES: dict[str, str] = {
@@ -258,7 +254,6 @@ def collect_perf(
     n_left: int = 200,
     n_right: int = 1200,
     n_chain: int = 40,
-    parts: int = 4,
 ) -> dict:
     """Time every workload query and report throughput, latency, and q-error.
 
@@ -277,37 +272,18 @@ def collect_perf(
     for name, text in PERF_QUERIES.items():
         pq = prepared(text, catalog)
         rows = len(pq.execute(catalog))  # warm-up; also the result size
-        pq.execute(catalog, execution="row")  # warm row-mode artifacts too
-        pq.execute(catalog, execution="parallel", parts=parts)  # warm shards/pool
         samples_ms: list[float] = []
         for _ in range(repeats):
             start = time.perf_counter()
             pq.execute(catalog)
             samples_ms.append((time.perf_counter() - start) * 1e3)
-        row_samples_ms: list[float] = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            pq.execute(catalog, execution="row")
-            row_samples_ms.append((time.perf_counter() - start) * 1e3)
-        par_samples_ms: list[float] = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            pq.execute(catalog, execution="parallel", parts=parts)
-            par_samples_ms.append((time.perf_counter() - start) * 1e3)
         entries = feedback_entries(pq.analyze(catalog)) if pq.plan is not None else []
         qs = [e.q for e in entries]
         all_q.extend(qs)
-        batch_qps = _robust_throughput_qps(samples_ms)
-        row_qps = _robust_throughput_qps(row_samples_ms)
-        par_qps = _robust_throughput_qps(par_samples_ms)
         benchmarks[name] = {
             "runs": repeats,
             "rows": rows,
-            "throughput_qps": batch_qps,
-            "row_throughput_qps": row_qps,
-            "batch_speedup": batch_qps / row_qps if row_qps else 0.0,
-            "parallel_throughput_qps": par_qps,
-            "parallel_speedup": par_qps / batch_qps if batch_qps else 0.0,
+            "throughput_qps": _robust_throughput_qps(samples_ms),
             "latency_ms": _latency_summary(samples_ms),
             "qerror_max": max(qs, default=1.0),
             "rewrite_kinds": list(pq.rewrite_kinds()),
@@ -320,7 +296,6 @@ def collect_perf(
             "n_left": n_left,
             "n_right": n_right,
             "n_chain": n_chain,
-            "parts": parts,
         },
         "benchmarks": benchmarks,
         "introspection": introspection_overhead(

@@ -45,21 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--no-typecheck", action="store_true", help="skip static type checking")
     query.add_argument(
-        "--execution",
-        choices=("batch", "row", "parallel"),
-        default="batch",
-        help="physical-engine execution mode: vectorized column batches, "
-        "tuple-at-a-time, or multiprocess scatter-gather over hash "
-        "partitions (default: batch)",
-    )
-    query.add_argument(
-        "--parts",
-        type=int,
-        default=4,
-        metavar="N",
-        help="partition count for --execution parallel (default: 4)",
-    )
-    query.add_argument(
         "--analyze",
         action="store_true",
         help="instrument execution and print the EXPLAIN ANALYZE operator tree "
@@ -102,20 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="text (human-readable) or chrome (trace_event JSON for "
         "chrome://tracing / Perfetto; default: text)",
-    )
-    trace.add_argument(
-        "--execution",
-        choices=("batch", "row", "parallel"),
-        default="batch",
-        help="execution mode to trace; parallel merges per-worker spans "
-        "into one multi-process timeline (default: batch)",
-    )
-    trace.add_argument(
-        "--parts",
-        type=int,
-        default=4,
-        metavar="N",
-        help="partition count for --execution parallel (default: 4)",
     )
     trace.add_argument("--out", metavar="PATH", help="write the dump to PATH instead of stdout")
 
@@ -314,9 +285,7 @@ def _serve_repeated(args: argparse.Namespace, catalog: Catalog) -> int:
     result = None
     for _ in range(args.repeat):
         start = time.perf_counter()
-        result = prepared(args.text, catalog, typecheck=not args.no_typecheck).execute(
-            catalog, execution=args.execution, parts=args.parts
-        )
+        result = prepared(args.text, catalog, typecheck=not args.no_typecheck).execute(catalog)
         latency.observe((time.perf_counter() - start) * 1e3)
     assert result is not None
     for value in sorted(result, key=sort_key):
@@ -393,7 +362,6 @@ def _metrics_dump(args: argparse.Namespace) -> int:
     """Serve the mixed workload, then dump the Prometheus exposition text."""
     import time
 
-    from repro.parallel.pool import pool_gauges
     from repro.server.exposition import (
         merged_service_snapshot,
         prometheus_text,
@@ -424,7 +392,6 @@ def _metrics_dump(args: argparse.Namespace) -> int:
             gauges={
                 "queue_depth": service._queue.qsize(),
                 "workers": service.workers,
-                **pool_gauges(),
             },
         )
     ok = sum(1 for r in responses if r.ok)
@@ -476,11 +443,6 @@ def _cache_entry_summary(entry: dict) -> str:
             parts.append(f"{key}={entry[key]}")
     if entry.get("keys"):
         parts.append(f"keys={','.join(str(k) for k in entry['keys'])}")
-    if entry.get("tables"):
-        names = ",".join(t.get("name", "?") for t in entry["tables"])
-        parts.append(f"tables={names} parts={entry.get('parts', '?')}")
-        if entry.get("workers") is not None:
-            parts.append(f"workers={entry['workers']}")
     if not parts and "key" in entry:
         parts.append(str(entry["key"]))
     return " ".join(str(p) for p in parts)
@@ -657,14 +619,7 @@ def _trace_query(args: argparse.Namespace) -> int:
 
     catalog = _load(args)
     trace = QueryTrace(query=args.text)
-    result = run_query(
-        args.text,
-        catalog,
-        analyze=True,
-        trace=trace,
-        execution=args.execution,
-        parts=args.parts,
-    )
+    result = run_query(args.text, catalog, analyze=True, trace=trace)
     if args.format == "chrome":
         import json
 
@@ -707,8 +662,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             engine=args.engine,
             typecheck=not args.no_typecheck,
             analyze=args.analyze and args.engine == "physical",
-            execution=args.execution,
-            parts=args.parts,
         )
         for value in sorted(result.value, key=sort_key):
             print(value_repr(value))

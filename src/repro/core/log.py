@@ -1,7 +1,7 @@
 """Structured JSON event log for the serving layer.
 
 The query service narrates each request's lifecycle — admission,
-rejection, parallel fallback, cancellation, worker crash, completion —
+rejection, cancellation, failure, completion —
 as *events*: flat dicts with a ``ts`` timestamp, an ``event`` name, and
 ``query_id``/``trace_id`` correlation fields, so one request's story can
 be stitched together across the event log, the slow-query log (whose
@@ -138,7 +138,7 @@ def emit_event(
 ) -> dict:
     """Record one structured event; returns the payload dict.
 
-    ``event`` is the lifecycle name (``admit``, ``reject``, ``fallback``,
+    ``event`` is the lifecycle name (``admit``, ``reject``,
     ``cancel``, ``timeout``, ``crash``, ``error``, ``complete``,
     ``coalesce_dropped``); ``query_id``/``trace_id`` correlate the event
     with the request and its trace; extra keyword fields ride along

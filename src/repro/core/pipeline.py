@@ -108,8 +108,6 @@ def run_query(
     rewrite: bool = True,
     analyze: bool = False,
     trace: QueryTrace | None = None,
-    execution: str = "batch",
-    parts: int = 4,
 ) -> QueryResult:
     """Execute *query* against *catalog* and return its value as a set.
 
@@ -124,17 +122,9 @@ def run_query(
     to the result.  ``trace`` collects the rewrite-decision trace and
     phase timings; pass a fresh :class:`~repro.core.trace.QueryTrace` (it
     is also returned on the result).
-
-    ``execution`` (physical engine only) selects vectorized column-batch
-    execution (``"batch"``, the default), tuple-at-a-time (``"row"``), or
-    multiprocess scatter-gather over ``parts`` hash shards
-    (``"parallel"``; see :mod:`repro.parallel`);
-    see :mod:`repro.engine.executor`.
     """
     with trace_scope(trace) if trace is not None else _null_scope():
-        return _run_query_traced(
-            query, catalog, engine, typecheck, rewrite, analyze, trace, execution, parts
-        )
+        return _run_query_traced(query, catalog, engine, typecheck, rewrite, analyze, trace)
 
 
 def _run_query_traced(
@@ -145,8 +135,6 @@ def _run_query_traced(
     rewrite: bool,
     analyze: bool,
     trace: QueryTrace | None,
-    execution: str = "batch",
-    parts: int = 4,
 ) -> QueryResult:
     with span("parse"):
         ast = _as_ast(query)
@@ -182,18 +170,11 @@ def _run_query_traced(
         with span("compile"):
             physical = compile_plan(plan, catalog)
         if analyze:
+            from repro.engine.analyze import analyze as _analyze
             from repro.engine.feedback import record_run
 
-            if execution == "parallel":
-                from repro.parallel import parallel_analyze as _analyze_fn
-
-                with span("execute", detail="instrumented parallel"):
-                    run = _analyze_fn(physical, catalog, parts=parts)
-            else:
-                from repro.engine.analyze import analyze as _analyze
-
-                with span("execute", detail="instrumented"):
-                    run = _analyze(physical, catalog, execution=execution)
+            with span("execute", detail="instrumented"):
+                run = _analyze(physical, catalog)
             # Close the cardinality-feedback loop: aggregate this run's
             # per-operator q-errors (keyed by the translator's rewrite
             # verdicts) into the process-global feedback registry.
@@ -201,8 +182,8 @@ def _run_query_traced(
             return QueryResult(
                 result_set(run.rows), "physical", translation, analyzed=run, trace=trace
             )
-        with span("execute", detail=execution):
-            value = execute_set(physical, catalog, execution=execution, parts=parts)
+        with span("execute", detail="batch"):
+            value = execute_set(physical, catalog)
         return QueryResult(value, "physical", translation, trace=trace)
     raise UnsupportedQueryError(f"unknown engine {engine!r}")
 
@@ -289,37 +270,25 @@ class PreparedQuery:
                 self._compiled[key] = entry
             return entry[1]
 
-    def execute(self, catalog: Catalog, execution: str = "batch", parts: int = 4) -> frozenset:
-        """Run against *catalog* and return the result set.
-
-        ``execution`` selects vectorized column-batch execution
-        (``"batch"``, the default), tuple-at-a-time (``"row"``), or
-        multiprocess scatter-gather over ``parts`` hash shards
-        (``"parallel"``; see :mod:`repro.parallel`).
-        """
+    def execute(self, catalog: Catalog) -> frozenset:
+        """Run against *catalog* and return the result set."""
         from repro.engine.executor import execute_set
 
         if self.plan is None:
             return _as_result_set(evaluate(self.ast, tables=catalog))
         physical = self.compile_for(catalog)
-        return execute_set(physical, catalog, execution=execution, parts=parts)
+        return execute_set(physical, catalog)
 
-    def analyze(self, catalog: Catalog, execution: str = "batch", parts: int = 4):
+    def analyze(self, catalog: Catalog):
         """Instrumented execution: returns an AnalyzedRun (see engine.analyze).
 
         Each call also records the run's per-operator q-errors into the
         process-global feedback registry (:data:`repro.engine.feedback.FEEDBACK`).
         """
+        from repro.engine.analyze import analyze as _analyze
         from repro.engine.feedback import record_run
 
-        if execution == "parallel":
-            from repro.parallel import parallel_analyze
-
-            run = parallel_analyze(self.compile_for(catalog), catalog, parts=parts)
-        else:
-            from repro.engine.analyze import analyze as _analyze
-
-            run = _analyze(self.compile_for(catalog), catalog, execution=execution)
+        run = _analyze(self.compile_for(catalog), catalog)
         record_run(run, rewrite_kinds=self.rewrite_kinds())
         return run
 

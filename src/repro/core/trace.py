@@ -68,11 +68,6 @@ class TraceEvent:
     after: str | None = None
     ts: float = 0.0
     dur: float = 0.0
-    #: Originating process/thread for multi-process lanes in the Chrome
-    #: export. 0 means "the coordinator" (rendered as pid/tid 1); worker
-    #: fragments stamp their real ``os.getpid()`` / native thread id.
-    pid: int = 0
-    tid: int = 0
 
     def to_dict(self) -> dict:
         """JSON-serializable form with None fields elided."""
@@ -83,10 +78,6 @@ class TraceEvent:
             value = getattr(self, key)
             if value:
                 out[key] = value
-        if self.pid:
-            out["pid"] = self.pid
-        if self.tid:
-            out["tid"] = self.tid
         return out
 
 
@@ -146,8 +137,6 @@ class QueryTrace:
             parts = [f"  {e.ts * 1e3:8.3f}ms  [{e.phase}] {e.rule}"]
             if e.dur:
                 parts.append(f"({e.dur * 1e3:.3f}ms)")
-            if e.pid:
-                parts.append(f"pid={e.pid}")
             if e.table2_row:
                 parts.append(f"table2={e.table2_row}")
             if e.verdict:
@@ -234,14 +223,14 @@ def plan_fingerprint(plan) -> str:
 
 
 def _chrome_event(
-    name: str, cat: str, ts: float, dur: float | None, args: dict, tid: int, pid: int = 1
+    name: str, cat: str, ts: float, dur: float | None, args: dict, tid: int
 ) -> dict:
     event = {
         "name": name,
         "cat": cat,
         "ph": "X" if dur is not None else "i",
         "ts": round(ts * 1e6, 3),  # trace_event timestamps are microseconds
-        "pid": pid,
+        "pid": 1,
         "tid": tid,
         "args": args,
     }
@@ -259,44 +248,18 @@ def chrome_trace(trace: QueryTrace, analyzed=None) -> dict:
     spans and instant decision events go on pid 1 / tid 1; per-operator
     execution spans from *analyzed* (an
     :class:`repro.engine.analyze.AnalyzedRun`) go on tid 2, nested by
-    start time and duration.  Events that carry their own ``pid``/``tid``
-    — the merged per-fragment spans of a parallel run (see
-    :mod:`repro.parallel`) — keep them, so a multi-process execution
-    renders one lane per worker process; when several pids are present,
-    ``process_name`` metadata events label each lane.
+    start time and duration.
     """
     events: list[dict] = []
     for e in trace.events:
         args = {
             k: v
             for k, v in e.to_dict().items()
-            if k not in ("phase", "rule", "ts", "dur", "pid", "tid")
+            if k not in ("phase", "rule", "ts", "dur")
         }
         events.append(
-            _chrome_event(
-                e.rule,
-                e.phase,
-                e.ts,
-                e.dur if e.dur else None,
-                args,
-                tid=e.tid or 1,
-                pid=e.pid or 1,
-            )
+            _chrome_event(e.rule, e.phase, e.ts, e.dur if e.dur else None, args, tid=1)
         )
-    pids = sorted({e.pid or 1 for e in trace.events})
-    if len(pids) > 1:
-        # A multi-process (parallel) trace: name each lane so the viewer
-        # shows "coordinator" plus one worker row per pid.
-        for pid in pids:
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": "coordinator" if pid == 1 else f"worker pid={pid}"},
-                }
-            )
     if analyzed is not None:
         base = analyzed.stats.started if analyzed.stats.started else trace.created
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from repro.engine.batch import DEFAULT_BATCH_SIZE, Batch
-from repro.engine.physical import PhysicalOp, PJoin, PNest, has_batch_kernel
+from repro.engine.physical import PhysicalOp, PJoin, PNest
 from repro.model.values import Tup
 
 __all__ = ["OpStats", "AnalyzedRun", "analyze", "explain_analyze"]
@@ -51,17 +51,8 @@ class OpStats:
     cache_bytes: int = 0
     #: Largest group materialized by a nest join / Nest operator, or None.
     peak_group: int | None = None
-    #: Column batches this operator emitted (0 in row-mode execution).
+    #: Column batches this operator emitted.
     batches: int = 0
-    #: ``"batch"`` when the operator ran its vectorized kernel, ``"row"``
-    #: when it ran tuple-at-a-time (row execution or batch-mode fallback);
-    #: None if the operator never ran at all.
-    exec_mode: str | None = None
-    #: Worker-side resource telemetry for parallel ``PFragment`` rows
-    #: (see :func:`repro.parallel.parallel_analyze`); None elsewhere.
-    cpu_seconds: float | None = None
-    peak_mem_bytes: int | None = None
-    shipped_bytes: int | None = None
     children: list["OpStats"] = field(default_factory=list)
 
     @property
@@ -77,13 +68,6 @@ class AnalyzedRun:
     rows: list[Tup]
     stats: OpStats
     total_seconds: float
-    #: The execution mode the run was driven in ("batch" or "row"); an
-    #: operator-level account (including per-operator fallbacks) lives on
-    #: each :attr:`OpStats.exec_mode`.
-    exec_mode: str = "row"
-    #: Free-form annotations rendered after the tree — e.g. a parallel
-    #: run's shard-skew line, or why it fell back to sequential.
-    notes: tuple = ()
 
     def feedback(self):
         """Per-operator estimate-vs-actual entries (see repro.engine.feedback)."""
@@ -111,10 +95,11 @@ def _group_label(op: PhysicalOp) -> str | None:
     return None
 
 
-def _instrument(op: PhysicalOp, tables: Mapping, stats: OpStats) -> Iterator[Tup]:
+def _instrument(
+    op: PhysicalOp, tables: Mapping, stats: OpStats, batch_size: int
+) -> Iterator[Batch]:
     start = time.perf_counter()
     stats.started = start
-    stats.exec_mode = "row"
     group_label = _group_label(op)
     # Physical operators pull from their children via attribute access;
     # wrap each child in a counting proxy bound to its stats node.
@@ -124,58 +109,6 @@ def _instrument(op: PhysicalOp, tables: Mapping, stats: OpStats) -> Iterator[Tup
     ]
     swapped = _swap_children(op, proxies)
     # The clone is what runs, so cache traffic lands on *its* counters.
-    cache_before = (
-        (swapped.cache_hits, swapped.cache_misses)
-        if isinstance(swapped, PJoin)
-        else None
-    )
-    try:
-        if group_label is None:
-            for row in swapped.run(tables):
-                stats.rows += 1
-                yield row
-        else:
-            peak = 0
-            for row in swapped.run(tables):
-                stats.rows += 1
-                try:
-                    size = len(row[group_label])
-                except (KeyError, TypeError):
-                    size = 0
-                if size > peak:
-                    peak = size
-                yield row
-            stats.peak_group = peak
-    finally:
-        stats.seconds = time.perf_counter() - start
-        if cache_before is not None:
-            stats.cache_hits = swapped.cache_hits - cache_before[0]
-            stats.cache_misses = swapped.cache_misses - cache_before[1]
-            if stats.cache_hits or stats.cache_misses:
-                stats.cache_bytes = swapped.cache_bytes
-
-
-def _instrument_batches(
-    op: PhysicalOp, tables: Mapping, stats: OpStats, batch_size: int
-) -> Iterator[Batch]:
-    """Like :func:`_instrument`, driving the batched pull protocol.
-
-    An operator without a batch kernel runs its row implementation under
-    the base-class wrapper; its stats then read ``exec_mode="row"`` —
-    that is how per-operator fallback is surfaced in EXPLAIN ANALYZE.
-    When such a fallback operator pulls its children tuple-at-a-time,
-    the child proxies instrument through :func:`_instrument`, so a whole
-    row-mode subtree is accounted consistently.
-    """
-    start = time.perf_counter()
-    stats.started = start
-    stats.exec_mode = "batch" if has_batch_kernel(op) else "row"
-    group_label = _group_label(op)
-    original_children = op.children()
-    proxies = [
-        _Proxy(c, tables, cs) for c, cs in zip(original_children, stats.children)
-    ]
-    swapped = _swap_children(op, proxies)
     cache_before = (
         (swapped.cache_hits, swapped.cache_misses)
         if isinstance(swapped, PJoin)
@@ -217,11 +150,8 @@ class _Proxy(PhysicalOp):
         self.stats = stats
         self.est_rows = inner.est_rows
 
-    def run(self, tables: Mapping) -> Iterator[Tup]:
-        return _instrument(self.inner, tables, self.stats)
-
     def run_batches(self, tables: Mapping, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        return _instrument_batches(self.inner, tables, self.stats, batch_size)
+        return _instrument(self.inner, tables, self.stats, batch_size)
 
     def children(self) -> tuple[PhysicalOp, ...]:
         return self.inner.children()
@@ -248,25 +178,16 @@ def _swap_children(op: PhysicalOp, proxies: list[PhysicalOp]) -> PhysicalOp:
 def analyze(
     op: PhysicalOp,
     tables: Mapping,
-    execution: str = "batch",
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> AnalyzedRun:
-    """Execute *op* with instrumentation; returns rows plus statistics.
-
-    ``execution`` selects the same modes as
-    :func:`repro.engine.executor.execute`; the run (and each operator)
-    records which mode it actually ran in.
-    """
+    """Execute *op* with instrumentation; returns rows plus statistics."""
     stats = _build_stats(op)
     start = time.perf_counter()
-    if execution == "batch":
-        rows = []
-        for batch in _instrument_batches(op, tables, stats, batch_size):
-            rows.extend(batch.to_tups())
-    else:
-        rows = list(_instrument(op, tables, stats))
+    rows = []
+    for batch in _instrument(op, tables, stats, batch_size):
+        rows.extend(batch.to_tups())
     total = time.perf_counter() - start
-    return AnalyzedRun(rows, stats, total, exec_mode=execution)
+    return AnalyzedRun(rows, stats, total)
 
 
 def explain_analyze(run: AnalyzedRun) -> str:
@@ -282,7 +203,6 @@ def explain_analyze(run: AnalyzedRun) -> str:
 
     lines: list[str] = [
         f"total: {run.total_seconds * 1e3:.2f} ms, {len(run.rows)} result rows"
-        f", mode={run.exec_mode}"
     ]
 
     def emit(stats: OpStats, indent: int) -> None:
@@ -295,8 +215,6 @@ def explain_analyze(run: AnalyzedRun) -> str:
             f"q={q_error(op.est_rows, stats.rows):.2f}",
             f"{stats.seconds * 1e3:.2f} ms",
         ]
-        if stats.exec_mode is not None and stats.exec_mode != run.exec_mode:
-            parts.append(f"mode={stats.exec_mode}")
         if stats.batches:
             parts.append(f"{stats.batches} batches")
         if stats.cache_hits or stats.cache_misses:
@@ -305,17 +223,9 @@ def explain_analyze(run: AnalyzedRun) -> str:
                 parts.append(f"cache_bytes={stats.cache_bytes}")
         if stats.peak_group is not None:
             parts.append(f"peak group {stats.peak_group}")
-        if stats.cpu_seconds is not None:
-            parts.append(f"cpu={stats.cpu_seconds * 1e3:.2f}ms")
-        if stats.peak_mem_bytes is not None:
-            parts.append(f"peak_mem={stats.peak_mem_bytes / 1024:.0f}KiB")
-        if stats.shipped_bytes is not None:
-            parts.append(f"shipped={stats.rows} rows/{stats.shipped_bytes}B")
         lines.append(f"{pad}{op.describe()}  ({', '.join(parts)})")
         for child in stats.children:
             emit(child, indent + 1)
 
     emit(run.stats, 0)
-    for note in run.notes:
-        lines.append(f"note: {note}")
     return "\n".join(lines)

@@ -1,20 +1,18 @@
-"""Columnar batches: the unit of exchange of the vectorized engine.
+"""Columnar batches: the unit of exchange between physical operators.
 
-Row-mode execution moves one :class:`~repro.model.values.Tup` at a time
-through a chain of Python generators; every operator boundary costs a
-generator resumption and most operators allocate a fresh tuple per row.
-Batch mode instead moves a :class:`Batch` — parallel Python lists, one per
-binding name, plus an optional *selection vector* — so the per-row price
-collapses to a list append or an index lookup, and filters never copy
-data at all (they narrow the selection vector over the same columns).
+Moving one :class:`~repro.model.values.Tup` at a time through a chain of
+Python generators costs a generator resumption per operator boundary and
+a fresh tuple per row in most operators. Operators instead exchange a
+:class:`Batch` — parallel Python lists, one per binding name, plus an
+optional *selection vector* — so the per-row price collapses to a list
+append or an index lookup, and filters never copy data at all (they
+narrow the selection vector over the same columns).
 
 The protocol is :meth:`repro.engine.physical.PhysicalOp.run_batches`:
 ``run_batches(tables, batch_size)`` yields non-empty batches whose live
-rows, concatenated in order, equal exactly what ``run`` would have
-yielded. Operators without a native batch kernel inherit the base
-implementation, which runs the whole subtree in row mode and re-chunks
-the rows (see :func:`batches_from_rows`) — the automatic row-mode
-fallback that keeps the two engines drop-in interchangeable.
+rows, concatenated in order, are the operator's output. The join kernels
+that work on binding tuples (nested-loop, sort-merge) are fed through
+:func:`rows_from_batches` and re-chunked with :func:`batches_from_rows`.
 
 Expression evaluation over columns goes through :meth:`Batch.getter`:
 attribute chains rooted at a binding (``e``, ``e.address.city``) compile
@@ -40,7 +38,7 @@ __all__ = [
     "rows_from_batches",
 ]
 
-#: Rows per batch; also the cancellation-poll granularity of row mode.
+#: Rows per batch.
 DEFAULT_BATCH_SIZE = 1024
 
 
@@ -84,7 +82,7 @@ class Batch:
         return Batch(columns, len(sel))
 
     def to_tups(self) -> list[Tup]:
-        """The live rows as binding tuples (row-mode representation)."""
+        """The live rows as binding tuples."""
         wrap = Tup._from_validated
         items = list(self.columns.items())
         return [wrap({k: c[i] for k, c in items}) for i in self.indices()]
@@ -167,7 +165,7 @@ def _chain_getter(col: list, labels: tuple[str, ...]) -> Callable[[int], Any]:
 def batches_from_rows(
     rows: Iterable[Tup], batch_size: int = DEFAULT_BATCH_SIZE
 ) -> Iterator[Batch]:
-    """Chunk a row stream into dense batches (the row-mode fallback shim)."""
+    """Chunk a row stream into dense batches."""
     names: list[str] | None = None
     columns: dict[str, list] = {}
     count = 0

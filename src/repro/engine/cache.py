@@ -31,9 +31,7 @@ tuples), ``"sorted-runs"`` (sort-merge right runs), ``"hash-groups"`` /
 ``"inl-groups"`` (nest-join group tables, key tuple → frozenset),
 ``"columnar"`` (the vectorized engine's per-table column views, keyed by
 attribute tuple with an empty probe var — see
-:meth:`repro.engine.table.Table.columnar`), and ``"partition"`` (the
-parallel engine's hash shards, keyed by partition attrs plus the part
-count — see :meth:`repro.engine.table.Table.partitioned`).
+:meth:`repro.engine.table.Table.columnar`).
 
 Cached artifacts are immutable by convention: hash builds map key tuples
 to lists of :class:`~repro.model.values.Tup` that consumers only read.

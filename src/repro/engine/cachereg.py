@@ -1,12 +1,10 @@
 """Process-global cache registry: one place every engine cache reports to.
 
-The engine grew five caches across four layers — the prepared-plan LRU
+The engine has three caches across three layers — the prepared-plan LRU
 (:mod:`repro.core.pipeline`), the build-side cache with its hash-build /
-sorted-run / group-table / columnar / partition kinds
-(:mod:`repro.engine.cache`), each query service's version-keyed result
-cache (:mod:`repro.server.service`), and the parallel pool's
-coordinator-side view of per-worker shard catalogs
-(:mod:`repro.parallel.pool`). Each already keeps hit/miss counters, but
+sorted-run / group-table / columnar kinds (:mod:`repro.engine.cache`),
+and each query service's version-keyed result cache
+(:mod:`repro.server.service`). Each already keeps hit/miss counters, but
 nothing could answer the operational question "how many bytes is this
 process holding, and in what?". The registry answers it: caches register
 a *provider* — a zero-state callable returning a small report dict — and
@@ -30,8 +28,8 @@ The registry also owns the **memory-pressure** counters: every
 budget-triggered eviction (an insert pushed a cache past its
 ``max_bytes``) is recorded per cache via :func:`record_memory_pressure`,
 surfaced as the ``memory_pressure{cache}`` Prometheus family and in each
-snapshot report. This module imports only the stdlib, so every layer —
-including worker processes — can use it without cycles.
+snapshot report. This module imports only the stdlib, so every layer
+can use it without cycles.
 """
 
 from __future__ import annotations

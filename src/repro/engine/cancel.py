@@ -4,16 +4,17 @@ Physical operators are Python generators; nothing can interrupt them from
 the outside mid-iteration. Instead, execution is made *cancellable* by
 installing a :class:`CancelToken` in a thread-local slot (via
 :func:`cancel_scope`) and having operators poll it at *batch*
-boundaries: batch-mode operators call :meth:`CancelToken.check` once
-per batch they exchange, and row-mode loops (scans, group-table and
-index probes, grouping) poll every :data:`POLL_INTERVAL` rows — with
-the first poll before the first row, so an already-cancelled token
-stops even tiny inputs immediately. :meth:`CancelToken.check` raises
+boundaries: operators call :meth:`CancelToken.check` once per batch
+they exchange, and the nested-loop and sort-merge join kernels, whose
+work per input row is not bounded by a batch, poll about every
+:data:`POLL_INTERVAL` row pairs — with the first poll before the first
+row, so an already-cancelled token stops even tiny inputs immediately.
+:meth:`CancelToken.check` raises
 :class:`~repro.errors.CancelledError` once the token's deadline has
 passed or :meth:`CancelToken.cancel` was called.
 
 The design keeps the single-threaded hot path free: operators fetch the
-thread-local token once per ``run()`` call and skip all polling when no
+thread-local token once per ``run_batches()`` call and skip all polling when no
 scope is installed, so plain ``run_query`` executions pay one attribute
 lookup per operator, not per row.
 
@@ -41,9 +42,9 @@ from repro.errors import CancelledError
 
 __all__ = ["CancelToken", "cancel_scope", "current_token", "checkpoint", "POLL_INTERVAL"]
 
-#: Rows between token polls in row-mode loops. Matches the default batch
-#: size, so both execution modes notice cancellation with the same
-#: worst-case latency (one batch of work).
+#: Row pairs between token polls in the nested-loop and sort-merge join
+#: kernels. Matches the default batch size, so every operator notices
+#: cancellation with the same worst-case latency (one batch of work).
 POLL_INTERVAL = 1024
 
 
@@ -52,16 +53,11 @@ class CancelToken:
 
     __slots__ = ("deadline", "_event", "reason", "progress")
 
-    def __init__(self, deadline: float | None = None, event=None):
+    def __init__(self, deadline: float | None = None):
         #: Absolute :func:`time.monotonic` instant after which :meth:`check`
         #: raises, or None for no deadline.
         self.deadline = deadline
-        #: The cancellation flag. Defaults to a thread-local
-        #: :class:`threading.Event`; the parallel engine passes a
-        #: ``multiprocessing.Event`` instead so that a ``cancel()`` in the
-        #: coordinator is observed by tokens polling in worker processes
-        #: (the two classes share the is_set/set API this token uses).
-        self._event = threading.Event() if event is None else event
+        self._event = threading.Event()
         self.reason = "cancelled"
         #: Optional progress sink: any object exposing
         #: ``advance(rows: int, op: str | None)``. :meth:`check` forwards

@@ -1,20 +1,14 @@
 """Physical plan execution entry points.
 
-Two execution modes share every compiled plan:
+Operators exchange fixed-size column batches through
+:meth:`~repro.engine.physical.PhysicalOp.run_batches`; the functions
+here drain the root operator into a row list or straight into a set.
 
-* ``"batch"`` (the default) — operators exchange fixed-size column
-  batches through :meth:`~repro.engine.physical.PhysicalOp.run_batches`;
-  operators without a batch kernel fall back to their row implementation
-  transparently (the base-class ``run_batches`` wraps ``run``).
-* ``"row"`` — the original tuple-at-a-time pull loop.
-
-Execution is cooperatively cancellable in both modes: when a
+Execution is cooperatively cancellable: when a
 :class:`~repro.engine.cancel.CancelToken` is installed for the current
 thread (see :func:`~repro.engine.cancel.cancel_scope`), operators and the
-output loops here poll it at batch granularity
-(:data:`~repro.engine.cancel.POLL_INTERVAL` rows in row mode, one check
-per batch in batch mode), so a deadline set by the query service bounds
-how long a plan can run.
+output loops here poll it once per batch, so a deadline set by the query
+service bounds how long a plan can run.
 """
 
 from __future__ import annotations
@@ -22,99 +16,55 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.algebra.plan import Plan
-from repro.engine.batch import DEFAULT_BATCH_SIZE, rows_from_batches
-from repro.engine.cancel import POLL_INTERVAL, current_token
+from repro.engine.batch import DEFAULT_BATCH_SIZE
+from repro.engine.cancel import current_token
 from repro.engine.physical import PhysicalOp, compile_plan
 from repro.errors import PlanError
 from repro.model.values import Tup
 
-__all__ = ["run_physical", "execute", "execute_set", "EXECUTION_MODES"]
-
-#: The supported values of the ``execution`` parameter. ``"parallel"``
-#: scatters the plan over hash-partitioned shards on a multiprocess
-#: worker pool (see :mod:`repro.parallel`), falling back to sequential
-#: batch execution for plans that don't shard.
-EXECUTION_MODES = ("batch", "row", "parallel")
-
-#: Partition count for ``execution="parallel"`` when none is passed.
-DEFAULT_PARTS = 4
+__all__ = ["run_physical", "execute", "execute_set"]
 
 
 def run_physical(
     plan: Plan,
     catalog: Mapping,
     force_algorithm: str | None = None,
-    execution: str = "batch",
     batch_size: int = DEFAULT_BATCH_SIZE,
-    parts: int = DEFAULT_PARTS,
 ) -> list[Tup]:
     """Compile *plan* (choosing join algorithms) and run it to a row list."""
     physical = compile_plan(plan, catalog, force_algorithm)
-    return execute(physical, catalog, execution=execution, batch_size=batch_size, parts=parts)
+    return execute(physical, catalog, batch_size=batch_size)
 
 
 def execute(
     physical: PhysicalOp,
     catalog: Mapping,
-    execution: str = "batch",
     batch_size: int = DEFAULT_BATCH_SIZE,
-    parts: int = DEFAULT_PARTS,
 ) -> list[Tup]:
     """Run an already compiled physical operator tree to a row list."""
     token = current_token()
-    if execution == "parallel":
-        from repro.parallel import run_parallel
-
-        return run_parallel(physical, catalog, parts=parts, batch_size=batch_size)
-    if execution == "batch":
-        out: list[Tup] = []
-        extend = out.extend
-        for batch in physical.run_batches(catalog, batch_size):
-            if token is not None:
-                token.check(batch.live, "output")
-            extend(batch.to_tups())
-        return out
-    if execution != "row":
-        raise PlanError(f"unknown execution mode {execution!r}; pick from {EXECUTION_MODES}")
-    if token is None:
-        return list(physical.run(catalog))
-    rows: list[Tup] = []
-    append = rows.append
-    countdown = 0
-    since = 0
-    for row in physical.run(catalog):
-        if countdown <= 0:
-            token.check(since, "output")
-            since = POLL_INTERVAL
-            countdown = POLL_INTERVAL
-        countdown -= 1
-        append(row)
-    return rows
+    out: list[Tup] = []
+    extend = out.extend
+    for batch in physical.run_batches(catalog, batch_size):
+        if token is not None:
+            token.check(batch.live, "output")
+        extend(batch.to_tups())
+    return out
 
 
 def execute_set(
     physical: PhysicalOp,
     catalog: Mapping,
-    execution: str = "batch",
     batch_size: int = DEFAULT_BATCH_SIZE,
-    parts: int = DEFAULT_PARTS,
 ) -> frozenset:
     """Run a plan whose rows carry exactly one binding, straight to a set.
 
     This is the serving path's terminal step: the pipeline collapses
     single-binding rows to the bound values
-    (:func:`repro.algebra.interpreter.result_set`). In batch mode the
-    values are already a column, so the set is built directly from it —
-    no binding tuple is ever constructed for output rows.
+    (:func:`repro.algebra.interpreter.result_set`). The values are
+    already a column, so the set is built directly from it — no binding
+    tuple is ever constructed for output rows.
     """
-    if execution == "parallel":
-        from repro.parallel import parallel_set
-
-        return parallel_set(physical, catalog, parts=parts, batch_size=batch_size)
-    if execution != "batch":
-        from repro.algebra.interpreter import result_set
-
-        return result_set(execute(physical, catalog, execution=execution, batch_size=batch_size))
     token = current_token()
     values: set = set()
     update = values.update

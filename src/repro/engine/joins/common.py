@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
+from repro.engine.cancel import POLL_INTERVAL, current_token
 from repro.errors import ExecutionError
 from repro.lang.ast import Cmp, CmpOp, Expr, conjuncts, is_true_const, make_and
 from repro.lang.compile import compiled
 from repro.lang.freevars import free_vars
 from repro.model.values import Tup
 
-__all__ = ["JoinSpec", "analyse_join", "eval_keys", "merge_env", "eval_pred"]
+__all__ = ["JoinSpec", "analyse_join", "eval_keys", "merge_env", "eval_pred", "poller"]
 
 
 @dataclass(frozen=True)
@@ -76,23 +77,6 @@ class JoinSpec:
         self._left_fns, self._right_fns, self._residual_fn, self.residual_trivial
         self._left_single, self._right_single
         return self
-
-    # -- pickling ------------------------------------------------------------
-    # The cached_property closures land in the instance __dict__ and are
-    # process-local (compiled() closes over Python functions). Ship only
-    # the three expression fields; the receiving process recompiles them
-    # lazily on first use — or via precompile() when the plan is rebuilt.
-
-    def __getstate__(self) -> dict:
-        return {
-            "left_keys": self.left_keys,
-            "right_keys": self.right_keys,
-            "residual": self.residual,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for field, value in state.items():
-            object.__setattr__(self, field, value)
 
     # -- per-row evaluation (the hot path) -----------------------------------
     def eval_left(self, binding: Tup, tables: Mapping) -> tuple:
@@ -175,3 +159,38 @@ def eval_pred(pred: Expr, binding: Tup, tables: Mapping) -> bool:
     if not isinstance(result, bool):
         raise ExecutionError(f"predicate evaluated to non-boolean {result!r}")
     return result
+
+
+def _no_poll(pairs: int) -> None:
+    pass
+
+
+def poller(op_label: str | None = None):
+    """The cancellation poll of a join loop over binding tuples.
+
+    The loop calls the returned ``tick(pairs)`` before each left row with
+    the number of row pairs that row is about to be tested against (an
+    empty other side counts as one). The token is polled before the
+    first row and then whenever about
+    :data:`~repro.engine.cancel.POLL_INTERVAL` pairs have accumulated, so
+    a deadline bounds a quadratic join by its work, not by how often its
+    children scan. Each poll credits the left rows since the previous one
+    to the token's progress sink under *op_label*. With no token
+    installed in this thread, ``tick`` does nothing.
+    """
+    token = current_token()
+    if token is None:
+        return _no_poll
+    budget = 0
+    rows = 0
+
+    def tick(pairs: int) -> None:
+        nonlocal budget, rows
+        budget -= pairs or 1
+        if budget <= 0:
+            token.check(rows, op_label)
+            rows = 0
+            budget = POLL_INTERVAL
+        rows += 1
+
+    return tick

@@ -4,7 +4,9 @@ The universal fallback: handles arbitrary predicates (no equi-key needed).
 Quadratic — exactly the naive strategy the paper wants the optimizer to
 escape from, and therefore also the baseline the benchmarks measure
 against. The predicate (and nest function) closures are resolved once per
-join invocation, not once per row pair.
+join invocation, not once per row pair. Every kernel polls the thread's
+cancel token (:func:`~repro.engine.joins.common.poller`) about every
+``POLL_INTERVAL`` predicate evaluations.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from repro.lang.ast import Expr
 from repro.lang.compile import compiled
 from repro.model.values import NULL, Tup
 
-from repro.engine.joins.common import merge_env
+from repro.engine.joins.common import merge_env, poller
 
 __all__ = [
     "nl_inner_join",
@@ -40,10 +42,16 @@ def _pred_fn(pred: Expr):
 
 
 def nl_inner_join(
-    left: Iterable[Tup], right: list[Tup], pred: Expr, tables: Mapping
+    left: Iterable[Tup],
+    right: list[Tup],
+    pred: Expr,
+    tables: Mapping,
+    op_label: str | None = None,
 ) -> Iterator[Tup]:
     check = _pred_fn(pred)
+    tick = poller(op_label)
     for lt in left:
+        tick(len(right))
         for rt in right:
             merged = merge_env(lt, rt)
             if check(merged, tables):
@@ -51,10 +59,16 @@ def nl_inner_join(
 
 
 def nl_semi_join(
-    left: Iterable[Tup], right: list[Tup], pred: Expr, tables: Mapping
+    left: Iterable[Tup],
+    right: list[Tup],
+    pred: Expr,
+    tables: Mapping,
+    op_label: str | None = None,
 ) -> Iterator[Tup]:
     check = _pred_fn(pred)
+    tick = poller(op_label)
     for lt in left:
+        tick(len(right))
         for rt in right:
             if check(merge_env(lt, rt), tables):
                 yield lt
@@ -62,10 +76,16 @@ def nl_semi_join(
 
 
 def nl_anti_join(
-    left: Iterable[Tup], right: list[Tup], pred: Expr, tables: Mapping
+    left: Iterable[Tup],
+    right: list[Tup],
+    pred: Expr,
+    tables: Mapping,
+    op_label: str | None = None,
 ) -> Iterator[Tup]:
     check = _pred_fn(pred)
+    tick = poller(op_label)
     for lt in left:
+        tick(len(right))
         if not any(check(merge_env(lt, rt), tables) for rt in right):
             yield lt
 
@@ -76,10 +96,13 @@ def nl_outer_join(
     pred: Expr,
     tables: Mapping,
     right_bindings: tuple[str, ...],
+    op_label: str | None = None,
 ) -> Iterator[Tup]:
     check = _pred_fn(pred)
     pad = {name: NULL for name in right_bindings}
+    tick = poller(op_label)
     for lt in left:
+        tick(len(right))
         matched = False
         for rt in right:
             merged = merge_env(lt, rt)
@@ -97,6 +120,7 @@ def nl_nest_join(
     func: Expr,
     label: str,
     tables: Mapping,
+    op_label: str | None = None,
 ) -> Iterator[Tup]:
     """Nest join, nested-loop flavour.
 
@@ -106,7 +130,9 @@ def nl_nest_join(
     """
     check = _pred_fn(pred)
     func_fn = compiled(func)
+    tick = poller(op_label)
     for lt in left:
+        tick(len(right))
         group = set()
         for rt in right:
             merged = merge_env(lt, rt)

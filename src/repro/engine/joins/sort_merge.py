@@ -24,7 +24,7 @@ from repro.lang.compile import compiled
 from repro.model.compare import compare, sort_key
 from repro.model.values import NULL, Tup
 
-from repro.engine.joins.common import JoinSpec, merge_env
+from repro.engine.joins.common import JoinSpec, merge_env, poller
 
 __all__ = [
     "right_runs",
@@ -70,12 +70,16 @@ def right_runs(rows, spec: JoinSpec, tables: Mapping) -> list[tuple[tuple, list[
 
 
 def _merge(
-    left_rows, right_rows, spec: JoinSpec, tables: Mapping, rruns=None
+    left_rows, right_rows, spec: JoinSpec, tables: Mapping, rruns=None, op_label=None
 ) -> Iterator[tuple[Tup, list[Tup]]]:
-    """Yield (left_tuple, matching_right_run) pairs; run may be empty."""
+    """Yield (left_tuple, matching_right_run) pairs; run may be empty.
+
+    Polls the thread's cancel token about every ``POLL_INTERVAL`` pairs
+    (see :func:`~repro.engine.joins.common.poller`)."""
     lkeyed = _keyed(left_rows, spec.eval_left, tables)
     if rruns is None:
         rruns = right_runs(right_rows, spec, tables)
+    tick = poller(op_label)
     ri = 0
     for lkey, lrun in _runs(lkeyed):
         while ri < len(rruns) and _compare_keys(rruns[ri][0], lkey) < 0:
@@ -85,13 +89,14 @@ def _merge(
         else:
             rrun = []
         for lt in lrun:
+            tick(len(rrun))
             yield lt, rrun
 
 
 def sm_inner_join(
-    left_rows, right_rows, spec: JoinSpec, tables: Mapping, right_runs=None
+    left_rows, right_rows, spec: JoinSpec, tables: Mapping, right_runs=None, op_label=None
 ) -> Iterator[Tup]:
-    for lt, rrun in _merge(left_rows, right_rows, spec, tables, right_runs):
+    for lt, rrun in _merge(left_rows, right_rows, spec, tables, right_runs, op_label):
         for rt in rrun:
             merged = merge_env(lt, rt)
             if spec.eval_residual(merged, tables):
@@ -99,9 +104,9 @@ def sm_inner_join(
 
 
 def sm_semi_join(
-    left_rows, right_rows, spec: JoinSpec, tables: Mapping, right_runs=None
+    left_rows, right_rows, spec: JoinSpec, tables: Mapping, right_runs=None, op_label=None
 ) -> Iterator[Tup]:
-    for lt, rrun in _merge(left_rows, right_rows, spec, tables, right_runs):
+    for lt, rrun in _merge(left_rows, right_rows, spec, tables, right_runs, op_label):
         for rt in rrun:
             if spec.eval_residual(merge_env(lt, rt), tables):
                 yield lt
@@ -109,9 +114,9 @@ def sm_semi_join(
 
 
 def sm_anti_join(
-    left_rows, right_rows, spec: JoinSpec, tables: Mapping, right_runs=None
+    left_rows, right_rows, spec: JoinSpec, tables: Mapping, right_runs=None, op_label=None
 ) -> Iterator[Tup]:
-    for lt, rrun in _merge(left_rows, right_rows, spec, tables, right_runs):
+    for lt, rrun in _merge(left_rows, right_rows, spec, tables, right_runs, op_label):
         if not any(
             spec.eval_residual(merge_env(lt, rt), tables) for rt in rrun
         ):
@@ -125,9 +130,10 @@ def sm_outer_join(
     tables: Mapping,
     right_bindings: tuple[str, ...],
     right_runs=None,
+    op_label=None,
 ) -> Iterator[Tup]:
     pad = {name: NULL for name in right_bindings}
-    for lt, rrun in _merge(left_rows, right_rows, spec, tables, right_runs):
+    for lt, rrun in _merge(left_rows, right_rows, spec, tables, right_runs, op_label):
         matched = False
         for rt in rrun:
             merged = merge_env(lt, rt)
@@ -146,9 +152,10 @@ def sm_nest_join(
     label: str,
     tables: Mapping,
     right_runs=None,
+    op_label=None,
 ) -> Iterator[Tup]:
     func_fn = compiled(func)
-    for lt, rrun in _merge(left_rows, right_rows, spec, tables, right_runs):
+    for lt, rrun in _merge(left_rows, right_rows, spec, tables, right_runs, op_label):
         group = set()
         for rt in rrun:
             merged = merge_env(lt, rt)

@@ -1,8 +1,8 @@
 """Deep size estimation for engine objects: the byte axis of cache accounting.
 
 Every cache in the engine — the prepared-plan LRU, the build-side cache's
-hash builds / sorted runs / group tables / columnar snapshots / partition
-shards, the serving result cache — is bounded by *entry count*, but the
+hash builds / sorted runs / group tables / columnar snapshots, the
+serving result cache — is bounded by *entry count*, but the
 resource that materialization-heavy nested-query evaluation actually
 stresses is *bytes of held intermediates*. :func:`deep_sizeof` estimates
 that: a deep, cycle-safe, memo-sharing traversal specialized for the
@@ -224,9 +224,8 @@ def calibrate(factory, deep=deep_sizeof) -> dict:
     Interned atoms skew the comparison in both directions — small ints
     and short strings the factory *reuses* are allocated zero new bytes
     but estimated once; use factories producing distinct values for
-    representative numbers. If tracemalloc is already tracing (e.g.
-    ``REPRO_TRACEMALLOC=1`` runs), the ambient trace is reused and left
-    running.
+    representative numbers. If tracemalloc is already tracing, the
+    ambient trace is reused and left running.
     """
     import gc
     import tracemalloc

@@ -38,18 +38,9 @@ from repro.engine.batch import (
     rows_from_batches,
 )
 from repro.engine.cache import BUILD_CACHE
-from repro.engine.cancel import POLL_INTERVAL, current_token
+from repro.engine.cancel import current_token
 from repro.engine.cost import cheapest_algorithm
 from repro.engine.joins.common import JoinSpec, analyse_join
-from repro.engine.joins.hash_join import (
-    build_table,
-    hash_anti_join,
-    hash_inner_join,
-    hash_inner_join_build_left,
-    hash_nest_join,
-    hash_outer_join,
-    hash_semi_join,
-)
 from repro.engine.joins.nested_loop import (
     nl_anti_join,
     nl_inner_join,
@@ -70,7 +61,7 @@ from repro.errors import ExecutionError, PlanError
 from repro.lang.ast import Expr, Var
 from repro.model.values import Tup
 
-__all__ = ["PhysicalOp", "compile_plan", "JOIN_ALGORITHMS", "has_batch_kernel"]
+__all__ = ["PhysicalOp", "compile_plan", "JOIN_ALGORITHMS"]
 
 JOIN_ALGORITHMS = ("nested_loop", "hash", "sort_merge", "index_nested_loop")
 
@@ -78,13 +69,9 @@ JOIN_ALGORITHMS = ("nested_loop", "hash", "sort_merge", "index_nested_loop")
 class PhysicalOp:
     """Base class for physical operators.
 
-    Two execution protocols over the same tree: ``run`` yields binding
-    tuples one at a time (row mode — the correctness oracle), and
-    ``run_batches`` yields columnar :class:`~repro.engine.batch.Batch`
-    blocks (the vectorized default). Operators without a native batch
-    kernel inherit the base ``run_batches``, which executes the whole
-    subtree in row mode and re-chunks — so a plan mixing vectorized and
-    row-only operators still runs end to end in either mode.
+    One execution protocol: ``run_batches`` yields columnar
+    :class:`~repro.engine.batch.Batch` blocks whose live rows, in order,
+    are the operator's output.
 
     Subclasses are dataclasses carrying at least ``est_rows`` (cardinality
     estimate); joins also carry ``algorithm``.
@@ -92,14 +79,10 @@ class PhysicalOp:
 
     est_rows: float
 
-    def run(self, tables: Mapping) -> Iterator[Tup]:
-        raise NotImplementedError
-
     def run_batches(
         self, tables: Mapping, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[Batch]:
-        """Batched pull; this base implementation is the row-mode fallback."""
-        return batches_from_rows(self.run(tables), batch_size)
+        raise NotImplementedError
 
     def children(self) -> tuple["PhysicalOp", ...]:
         return ()
@@ -111,7 +94,7 @@ class PhysicalOp:
         """:meth:`describe`, memoized on the instance.
 
         Progress-instrumented runs stamp the operator label on every
-        ``run``/``run_batches`` call; compiled trees are reused across
+        ``run_batches`` call; compiled trees are reused across
         executions (see ``PreparedQuery.compile_for``), so rendering the
         label once per operator lifetime keeps it off the per-execution
         cost (describe() over a workload's operators is ~2us each —
@@ -123,47 +106,11 @@ class PhysicalOp:
         return label
 
 
-def has_batch_kernel(op: PhysicalOp) -> bool:
-    """Whether *op* would serve batches from a native batch kernel
-    (False means the base row-mode fallback re-chunks its ``run``)."""
-    if type(op).run_batches is PhysicalOp.run_batches:
-        return False
-    native = getattr(op, "_batch_native", None)
-    return True if native is None else native()
-
-
 @dataclass
 class PScan(PhysicalOp):
     table: str
     var: str
     est_rows: float = 0.0
-
-    def run(self, tables):
-        source = tables[self.table]
-        rows = source.rows if hasattr(source, "rows") else list(source)
-        wrap = Tup._from_validated
-        var = self.var
-        token = current_token()
-        if token is None:
-            for row in rows:
-                yield wrap({var: row})
-            return
-        # Cancellable execution: all data enters a plan through scans, so
-        # polling every POLL_INTERVAL scanned rows (first poll before the
-        # first row) bounds how far past a deadline any plan can run.
-        # Each poll credits the rows since the previous one to the
-        # token's progress sink (exactly POLL_INTERVAL after the first);
-        # the sub-interval tail is deliberately uncounted.
-        op_label = self.progress_label() if token.progress is not None else None
-        countdown = 0
-        since = 0
-        for row in rows:
-            if countdown <= 0:
-                token.check(since, op_label)
-                since = POLL_INTERVAL
-                countdown = POLL_INTERVAL
-            countdown -= 1
-            yield wrap({var: row})
 
     def run_batches(self, tables, batch_size=DEFAULT_BATCH_SIZE):
         # The vectorized scan slices the stored row list straight into
@@ -192,17 +139,6 @@ class PFilter(PhysicalOp):
     child: PhysicalOp
     pred: Expr
     est_rows: float = 0.0
-
-    def run(self, tables):
-        from repro.lang.compile import compiled
-
-        fn = compiled(self.pred)
-        for t in self.child.run(tables):
-            result = fn(t.as_env(), tables)
-            if not isinstance(result, bool):
-                raise ExecutionError(f"predicate evaluated to non-boolean {result!r}")
-            if result:
-                yield t
 
     def run_batches(self, tables, batch_size=DEFAULT_BATCH_SIZE):
         from repro.lang.compile import compiled
@@ -242,14 +178,6 @@ class PMap(PhysicalOp):
     var: str
     est_rows: float = 0.0
 
-    def run(self, tables):
-        from repro.lang.compile import compiled
-
-        fn = compiled(self.expr)
-        var = self.var
-        for t in self.child.run(tables):
-            yield Tup({var: fn(t.as_env(), tables)})
-
     def run_batches(self, tables, batch_size=DEFAULT_BATCH_SIZE):
         from repro.lang.compile import compiled
 
@@ -283,14 +211,6 @@ class PExtend(PhysicalOp):
     label: str
     est_rows: float = 0.0
 
-    def run(self, tables):
-        from repro.lang.compile import compiled
-
-        fn = compiled(self.expr)
-        label = self.label
-        for t in self.child.run(tables):
-            yield t.extend(**{label: fn(t.as_env(), tables)})
-
     def run_batches(self, tables, batch_size=DEFAULT_BATCH_SIZE):
         from repro.lang.compile import compiled
 
@@ -323,10 +243,6 @@ class PDrop(PhysicalOp):
     labels: tuple[str, ...]
     est_rows: float = 0.0
 
-    def run(self, tables):
-        for t in self.child.run(tables):
-            yield t.drop(*self.labels)
-
     def run_batches(self, tables, batch_size=DEFAULT_BATCH_SIZE):
         dropped = set(self.labels)
         for batch in self.child.run_batches(tables, batch_size):
@@ -344,13 +260,6 @@ class PDrop(PhysicalOp):
 class PDistinct(PhysicalOp):
     child: PhysicalOp
     est_rows: float = 0.0
-
-    def run(self, tables):
-        seen: set[Tup] = set()
-        for t in self.child.run(tables):
-            if t not in seen:
-                seen.add(t)
-                yield t
 
     def run_batches(self, tables, batch_size=DEFAULT_BATCH_SIZE):
         # Dedup on value tuples in a fixed column order — equivalent to
@@ -426,43 +335,6 @@ class PJoin(PhysicalOp):
     cache_bytes: int = 0
     est_rows: float = 0.0
 
-    def run(self, tables):
-        if self.algorithm == "index_nested_loop":
-            if self.mode == "nest" and self.group_source is not None:
-                groups = self._reusable("inl-groups", tables, lambda: self._inl_groups(tables))
-                yield from self._run_grouped(self.left.run(tables), groups, tables)
-                return
-            yield from self._run_inl(self.left.run(tables), tables)
-            return
-        left = self.left.run(tables)
-        if self.algorithm == "hash":
-            if self.mode == "inner" and self.hash_build_left:
-                yield from hash_inner_join_build_left(
-                    list(left), self.right.run(tables), self.spec, tables
-                )
-                return
-            if self.mode == "nest" and self.group_source is not None:
-                groups = self._reusable("hash-groups", tables, lambda: self._hash_groups(tables))
-                yield from self._run_grouped(left, groups, tables)
-                return
-            build = self._reusable(
-                "hash-build",
-                tables,
-                lambda: build_table(self.right.run(tables), self.spec, tables),
-            )
-            yield from self._run_hash(left, build, tables)
-        elif self.algorithm == "sort_merge":
-            runs = self._reusable(
-                "sorted-runs",
-                tables,
-                lambda: right_runs(self.right.run(tables), self.spec, tables),
-            )
-            yield from self._run_sm(list(left), runs, tables)
-        elif self.algorithm == "nested_loop":
-            yield from self._run_nl(left, list(self.right.run(tables)), tables)
-        else:  # pragma: no cover
-            raise ExecutionError(f"unknown join algorithm {self.algorithm!r}")
-
     def _reusable(self, kind, tables, thunk):
         """Fetch the build-side artifact from the cache, or make and store it.
 
@@ -499,15 +371,7 @@ class PJoin(PhysicalOp):
 
     # -- batch kernels -------------------------------------------------------
 
-    def _batch_native(self) -> bool:
-        # Nested-loop joins have no batch kernel (arbitrary predicates,
-        # quadratic anyway); they fall back to row mode.
-        return self.algorithm != "nested_loop"
-
     def run_batches(self, tables, batch_size=DEFAULT_BATCH_SIZE):
-        if self.algorithm == "nested_loop":
-            yield from batches_from_rows(self.run(tables), batch_size)
-            return
         if self.algorithm == "index_nested_loop":
             if self.mode == "nest" and self.group_source is not None:
                 groups = self._reusable("inl-groups", tables, lambda: self._inl_groups(tables))
@@ -522,7 +386,9 @@ class PJoin(PhysicalOp):
                 yield from self._batch_hash_build_left(tables, batch_size)
                 return
             if self.mode == "nest" and self.group_source is not None:
-                groups = self._reusable("hash-groups", tables, lambda: self._hash_groups(tables))
+                groups = self._reusable(
+                    "hash-groups", tables, lambda: self._hash_groups(tables, batch_size)
+                )
                 yield from self._batch_grouped(tables, groups, batch_size)
                 return
             build = self._reusable(
@@ -532,17 +398,27 @@ class PJoin(PhysicalOp):
             )
             yield from self._batch_probe(tables, build, batch_size)
             return
-        # sort_merge: the sort dominates the cost, so the kernel is a
-        # hybrid — the left operand is pulled vectorized, the merge runs
-        # the proven row kernel over the cached right runs, and the
-        # output is re-chunked into batches.
-        runs = self._reusable(
-            "sorted-runs",
-            tables,
-            lambda: right_runs(self.right.run(tables), self.spec, tables),
+        # nested_loop and sort_merge: arbitrary predicates and a sort that
+        # dominates the cost leave nothing for columns to win, so the
+        # kernels of repro.engine.joins work on binding tuples — operands
+        # are pulled in batches, handed over as rows, and the output is
+        # re-chunked.
+        token = current_token()
+        op_label = (
+            self.progress_label()
+            if token is not None and token.progress is not None
+            else None
         )
-        left_rows = list(rows_from_batches(self.left.run_batches(tables, batch_size)))
-        yield from batches_from_rows(self._run_sm(left_rows, runs, tables), batch_size)
+        left = rows_from_batches(self.left.run_batches(tables, batch_size))
+        right = rows_from_batches(self.right.run_batches(tables, batch_size))
+        if self.algorithm == "nested_loop":
+            out = self._run_nl(left, list(right), tables, op_label)
+        else:
+            runs = self._reusable(
+                "sorted-runs", tables, lambda: right_runs(right, self.spec, tables)
+            )
+            out = self._run_sm(list(left), runs, tables, op_label)
+        yield from batches_from_rows(out, batch_size)
 
     def _batch_keys(self, batch, tables):
         """The left join key of every row of a dense batch, as a list."""
@@ -554,9 +430,11 @@ class PJoin(PhysicalOp):
         return [tuple(g(i) for g in getters) for i in range(n)]
 
     def _batch_build(self, tables, batch_size):
-        """The build side from the right child's batches (same key-interned
-        artifact shape as :func:`repro.engine.joins.hash_join.build_table`,
-        so row and batch executions share cache entries)."""
+        """The build side from the right child's batches: right-key tuple →
+        matching right binding tuples. Key tuples are interned — the first
+        row of each distinct key donates the tuple the dict stores and
+        later duplicates are filed under it via a plain ``get`` (no
+        throwaway default list per row, one key tuple per distinct key)."""
         spec = self.spec
         table: dict[tuple, list[Tup]] = {}
         get = table.get
@@ -887,7 +765,7 @@ class PJoin(PhysicalOp):
             if count:
                 yield Batch(out, count)
 
-    def _hash_groups(self, tables):
+    def _hash_groups(self, tables, batch_size):
         """Right-key tuple → the nest group, built in one pass.
 
         The group sets accumulate directly — no intermediate build table
@@ -926,7 +804,7 @@ class PJoin(PhysicalOp):
                     group.add(fn(env, tables))
         else:
             spec = self.spec
-            for rt in self.right.run(tables):
+            for rt in rows_from_batches(self.right.run_batches(tables, batch_size)):
                 k = spec.eval_right(rt, tables)
                 group = get(k)
                 if group is None:
@@ -951,125 +829,30 @@ class PJoin(PhysicalOp):
             out[k] = frozenset(group)
         return out
 
-    def _run_grouped(self, left, groups, tables):
-        """Probe a precomputed group table: one lookup per left tuple."""
-        spec = self.spec
-        label = self.label
-        empty = frozenset()
-        # A cached group table means the right child (and its scans) never
-        # runs, so this probe loop must poll the deadline itself — at
-        # batch granularity, first poll before the first row.
-        token = current_token()
-        op_label = (
-            self.progress_label()
-            if token is not None and token.progress is not None
-            else None
-        )
-        countdown = 0
-        since = 0
-        for lt in left:
-            if token is not None:
-                if countdown <= 0:
-                    token.check(since, op_label)
-                    since = POLL_INTERVAL
-                    countdown = POLL_INTERVAL
-                countdown -= 1
-            k = spec.eval_left(lt, tables)
-            yield lt.extend(**{label: groups.get(k, empty)})
-
-    def _run_inl(self, left, tables):
-        """Index-nested-loop: probe a persistent index on the right table."""
-        from repro.engine.joins.common import merge_env
-        from repro.lang.compile import compiled
-        from repro.model.values import NULL
-
-        table_name, var, attrs = self.index_target
-        index = tables[table_name].hash_index(attrs)
-        spec = self.spec
-        pad = {name: NULL for name in self.right_bindings}
-        func_fn = compiled(self.func) if self.mode == "nest" else None
-        wrap = Tup._from_validated
-        # The index probe bypasses the right child's scan, so this loop
-        # polls itself — at batch granularity, first poll before row 0.
-        token = current_token()
-        op_label = (
-            self.progress_label()
-            if token is not None and token.progress is not None
-            else None
-        )
-        countdown = 0
-        since = 0
-        for lt in left:
-            if token is not None:
-                if countdown <= 0:
-                    token.check(since, op_label)
-                    since = POLL_INTERVAL
-                    countdown = POLL_INTERVAL
-                countdown -= 1
-            key = spec.eval_left(lt, tables)
-            matches = []
-            for row in index.get(key, ()):
-                merged = merge_env(lt, wrap({var: row}))
-                if spec.eval_residual(merged, tables):
-                    matches.append(merged)
-                    if self.mode == "semi":
-                        break
-            if self.mode == "inner":
-                yield from matches
-            elif self.mode == "semi":
-                if matches:
-                    yield lt
-            elif self.mode == "anti":
-                if not matches:
-                    yield lt
-            elif self.mode == "outer":
-                if matches:
-                    yield from matches
-                else:
-                    yield lt.extend(**pad)
-            else:  # nest
-                group = frozenset(func_fn(m.as_env(), tables) for m in matches)
-                yield lt.extend(**{self.label: group})
-
-    def _run_nl(self, left, right, tables):
+    def _run_nl(self, left, right, tables, op_label):
         if self.mode == "inner":
-            return nl_inner_join(left, right, self.pred, tables)
+            return nl_inner_join(left, right, self.pred, tables, op_label)
         if self.mode == "semi":
-            return nl_semi_join(left, right, self.pred, tables)
+            return nl_semi_join(left, right, self.pred, tables, op_label)
         if self.mode == "anti":
-            return nl_anti_join(left, right, self.pred, tables)
+            return nl_anti_join(left, right, self.pred, tables, op_label)
         if self.mode == "outer":
-            return nl_outer_join(left, right, self.pred, tables, self.right_bindings)
-        return nl_nest_join(left, right, self.pred, self.func, self.label, tables)
+            return nl_outer_join(left, right, self.pred, tables, self.right_bindings, op_label)
+        return nl_nest_join(left, right, self.pred, self.func, self.label, tables, op_label)
 
-    def _run_hash(self, left, build, tables):
+    def _run_sm(self, left, runs, tables, op_label):
         if self.mode == "inner":
-            return hash_inner_join(left, (), self.spec, tables, build=build)
+            return sm_inner_join(left, (), self.spec, tables, right_runs=runs, op_label=op_label)
         if self.mode == "semi":
-            return hash_semi_join(left, (), self.spec, tables, build=build)
+            return sm_semi_join(left, (), self.spec, tables, right_runs=runs, op_label=op_label)
         if self.mode == "anti":
-            return hash_anti_join(left, (), self.spec, tables, build=build)
-        if self.mode == "outer":
-            return hash_outer_join(
-                left, (), self.spec, tables, self.right_bindings, build=build
-            )
-        return hash_nest_join(
-            left, (), self.spec, self.func, self.label, tables, build=build
-        )
-
-    def _run_sm(self, left, runs, tables):
-        if self.mode == "inner":
-            return sm_inner_join(left, (), self.spec, tables, right_runs=runs)
-        if self.mode == "semi":
-            return sm_semi_join(left, (), self.spec, tables, right_runs=runs)
-        if self.mode == "anti":
-            return sm_anti_join(left, (), self.spec, tables, right_runs=runs)
+            return sm_anti_join(left, (), self.spec, tables, right_runs=runs, op_label=op_label)
         if self.mode == "outer":
             return sm_outer_join(
-                left, (), self.spec, tables, self.right_bindings, right_runs=runs
+                left, (), self.spec, tables, self.right_bindings, right_runs=runs, op_label=op_label
             )
         return sm_nest_join(
-            left, (), self.spec, self.func, self.label, tables, right_runs=runs
+            left, (), self.spec, self.func, self.label, tables, right_runs=runs, op_label=op_label
         )
 
     def children(self):
@@ -1106,40 +889,6 @@ class PNest(PhysicalOp):
     label: str
     null_to_empty: bool
     est_rows: float = 0.0
-
-    def run(self, tables):
-        from repro.model.values import NULL
-
-        groups: dict[Tup, set] = {}
-        order: list[Tup] = []
-        # Grouping buffers the whole input before emitting anything; poll
-        # at batch granularity (first poll before row 0) so a deadline
-        # interrupts the accumulation even when the child never polls.
-        token = current_token()
-        op_label = (
-            self.progress_label()
-            if token is not None and token.progress is not None
-            else None
-        )
-        countdown = 0
-        since = 0
-        for t in self.child.run(tables):
-            if countdown <= 0:
-                if token is not None:
-                    token.check(since, op_label)
-                since = POLL_INTERVAL
-                countdown = POLL_INTERVAL
-            countdown -= 1
-            key = t.project(self.by)
-            if key not in groups:
-                groups[key] = set()
-                order.append(key)
-            value = t[self.nest]
-            if self.null_to_empty and value == NULL:
-                continue
-            groups[key].add(value)
-        for key in order:
-            yield key.extend(**{self.label: frozenset(groups[key])})
 
     def run_batches(self, tables, batch_size=DEFAULT_BATCH_SIZE):
         """Vectorized grouping: one pass over the by/nest columns building
@@ -1197,15 +946,6 @@ class PUnnest(PhysicalOp):
     label: str
     var: str
     est_rows: float = 0.0
-
-    def run(self, tables):
-        for t in self.child.run(tables):
-            members = t[self.label]
-            if not isinstance(members, frozenset):
-                raise ExecutionError(f"Unnest of non-set binding {self.label!r}")
-            rest = t.drop(self.label)
-            for m in members:
-                yield rest.extend(**{self.var: m})
 
     def run_batches(self, tables, batch_size=DEFAULT_BATCH_SIZE):
         """Vectorized flattening: replicate the carried columns once per

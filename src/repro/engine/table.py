@@ -141,45 +141,6 @@ class Table:
             BUILD_CACHE.put(key, view)
         return view
 
-    def partitioned(
-        self, attrs: tuple[str, ...], parts: int
-    ) -> tuple[list[Tup], ...]:
-        """Hash-partition the rows into *parts* disjoint shards on *attrs*.
-
-        Shard ``i`` holds the rows whose key tuple hashes to ``i`` modulo
-        *parts* (an empty ``attrs`` falls back to round-robin chunking —
-        any disjoint split is correct when no co-partitioned join relies
-        on key placement). Like :meth:`columnar`, the split is a pure
-        function of the table contents, so it is cached in
-        :data:`repro.engine.cache.BUILD_CACHE` keyed by ``(uid, version)``
-        and invalidated by any mutation. Partitioning always runs in the
-        coordinator process, so Python's per-process hash salt never
-        splits the two sides of a co-partitioned join differently.
-        """
-        from repro.engine.cache import BUILD_CACHE
-
-        fingerprint = attrs + (f"parts={parts}",)
-        key = BUILD_CACHE.key("partition", self, "", fingerprint)
-        cached = BUILD_CACHE.get(key) if key is not None else None
-        if cached is not None:
-            return cached
-        rows = self.rows
-        shards: tuple[list[Tup], ...] = tuple([] for _ in range(parts))
-        if attrs:
-            if len(attrs) == 1:
-                attr = attrs[0]
-                for row in rows:
-                    shards[hash(row.get(attr)) % parts].append(row)
-            else:
-                for row in rows:
-                    shards[hash(tuple(row.get(a) for a in attrs)) % parts].append(row)
-        else:
-            for i, row in enumerate(rows):
-                shards[i % parts].append(row)
-        if key is not None and BUILD_CACHE.key("partition", self, "", fingerprint) == key:
-            BUILD_CACHE.put(key, shards)
-        return shards
-
     def hash_index(self, attrs: tuple[str, ...]) -> dict[tuple, list[Tup]]:
         """A persistent hash index on *attrs* (built on first use, cached).
 
@@ -287,9 +248,9 @@ class Table:
         self.row_type = state["row_type"]
         self.key = state["key"]
         self.version = state["version"]
-        # A fresh uid in the *receiving* process: two shards of the same
-        # parent table must never alias each other's BUILD_CACHE entries,
-        # and parent uids are only unique within the parent.
+        # A fresh uid in the *receiving* process: uids are only unique
+        # within the process that issued them, and a copy must never
+        # alias another table's BUILD_CACHE entries.
         self.uid = next(_TABLE_UIDS)
         self._as_set = None
         self._indexes = {}

@@ -86,12 +86,5 @@ class RejectedError(ReproError):
     capacity, or the service has been stopped (see :mod:`repro.server`)."""
 
 
-class WorkerCrashError(ExecutionError):
-    """A parallel worker process died mid-fragment (killed, segfaulted, or
-    its pipe closed unexpectedly). The pool discards its workers and
-    respawns on next use; the in-flight query surfaces this error rather
-    than a partial result (see :mod:`repro.parallel.pool`)."""
-
-
 class CatalogError(ReproError):
     """A catalog lookup failed or a table definition is inconsistent."""

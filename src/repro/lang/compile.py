@@ -10,14 +10,17 @@ the reference executor keeps using the interpreter, so every differential
 test (fuzz suite, Table 2 equivalences, join agreement) cross-checks the
 compiler against it.
 
-:func:`compiled` memoises compilation per expression object; plans hold
-references to their expressions for as long as they live, so the id-keyed
-cache is sound (the cache keeps the expression alive, preventing id
-reuse).
+:func:`compiled` memoises compilation per expression object, keyed by
+``id``. An entry lives exactly as long as its expression: it holds the
+expression weakly and is dropped by the weak reference's callback, which
+runs before the id can be reissued. Plans hold their expressions for as
+long as they live, so a cached plan keeps hitting; a throwaway query's
+entries go with its AST.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Mapping
 
 from repro.errors import ExecutionError, NameError_
@@ -57,16 +60,17 @@ __all__ = ["compile_expr", "compiled", "CompiledExpr"]
 #: A compiled expression: (environment dict, table mapping) → value.
 CompiledExpr = Callable[[dict, Mapping], Any]
 
-_CACHE: dict[int, tuple[Expr, CompiledExpr]] = {}
+_CACHE: dict[int, tuple[weakref.ref, CompiledExpr]] = {}
 
 
 def compiled(expr: Expr) -> CompiledExpr:
-    """Memoised :func:`compile_expr` (safe: the cache pins the expression)."""
-    entry = _CACHE.get(id(expr))
-    if entry is not None and entry[0] is expr:
+    """Memoised :func:`compile_expr`; the entry dies with *expr*."""
+    key = id(expr)
+    entry = _CACHE.get(key)
+    if entry is not None and entry[0]() is expr:
         return entry[1]
     fn = compile_expr(expr)
-    _CACHE[id(expr)] = (expr, fn)
+    _CACHE[key] = (weakref.ref(expr, lambda _ref: _CACHE.pop(key, None)), fn)
     return fn
 
 

@@ -27,10 +27,8 @@ docs/observability.md): when a ``registry_source`` is attached (as
 :class:`~repro.server.registry.ActiveQueryRegistry` snapshot — every
 in-flight query with its progress fraction — and
 ``POST /queries/<id>/cancel`` cancels one by id through its
-:class:`~repro.engine.cancel.CancelToken` (for parallel queries the
-pool's coordinator loop observes the same token and raises the shared
-cross-process event). ``repro top`` renders ``GET /queries`` as an
-auto-refreshing table.
+:class:`~repro.engine.cancel.CancelToken`. ``repro top`` renders
+``GET /queries`` as an auto-refreshing table.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ LABEL_NAMES = {
     "queries_by_exec_mode": "mode",
     "qerror_by_rewrite": "kind",
     "qerror_by_op": "op",
-    "pool_sequential_fallbacks": "reason",
 }
 
 #: summary() percentile keys → Prometheus quantile label values.
@@ -440,24 +437,8 @@ class MetricsServer:
 
 
 def merged_service_snapshot(service) -> dict:
-    """A service's registry snapshot merged with the parallel pool's.
-
-    The worker pool instruments itself in the process-global
-    :data:`repro.parallel.pool.POOL_METRICS` registry (it predates and
-    outlives any one service); merging here is what puts the ``pool_*``
-    families on a service's ``/metrics`` endpoint. Names are disjoint by
-    construction (every pool family is ``pool_``-prefixed).
-    """
-    # Imported lazily: repro.parallel must not load at exposition import
-    # time (it imports repro.server.metrics, closing a cycle).
-    from repro.parallel.pool import POOL_METRICS
-
+    """A service's registry snapshot merged with the cache registry's."""
     snap = service.metrics.snapshot()
-    pool = POOL_METRICS.snapshot()
-    for section in ("counters", "labeled", "histograms", "labeled_histograms"):
-        merged = dict(snap.get(section) or {})
-        merged.update(pool.get(section) or {})
-        snap[section] = merged
     # The cache-registry families (cache_bytes{cache,kind}, cache_evictions
     # {cache,reason}, memory_pressure{cache}) ride along on every scrape,
     # pinning "result" to this service's cache.
@@ -470,26 +451,21 @@ def serve_metrics(service, host: str = "127.0.0.1", port: int = 0) -> MetricsSer
 
     Scrapes render the service's :class:`MetricsRegistry` (counters,
     latency histograms, ``queries_by_rewrite``, the q-error families)
-    merged with the parallel pool-health families
-    (:func:`merged_service_snapshot`), plus point-in-time gauges for
-    queue depth, worker-thread count, live in-flight queries, and live
-    pool workers. The admin surface comes attached: ``GET /queries``
-    over the service's :class:`~repro.server.registry.ActiveQueryRegistry`,
+    merged with the cache families (:func:`merged_service_snapshot`),
+    plus point-in-time gauges for queue depth, worker-thread count, and
+    live in-flight queries. The admin surface comes attached:
+    ``GET /queries`` over the service's :class:`~repro.server.registry.ActiveQueryRegistry`,
     ``POST /queries/<id>/cancel``, ``GET /caches`` with the cache
     registry's byte/entry report, and a ``/healthz`` carrying uptime,
     in-flight count, and queue depth.
     """
 
     def gauges() -> dict:
-        from repro.parallel.pool import pool_gauges
-
-        out = {
+        return {
             "queue_depth": service._queue.qsize(),
             "workers": service.workers,
             "in_flight": len(service.registry),
         }
-        out.update(pool_gauges())
-        return out
 
     def health_extras() -> dict:
         return {

@@ -3,20 +3,15 @@
 Every request a :class:`~repro.server.service.QueryService` admits is
 registered here for the duration of its execution as an
 :class:`ActiveQuery` — query id, bound text, parameters, start time,
-execution mode, the operator that last reported progress, and a rows
+the operator that last reported progress, and a rows
 processed / estimated pair whose quotient is the *progress fraction*.
 
 **How progress flows in.** The entry itself is the progress sink
 installed on the request's :class:`~repro.engine.cancel.CancelToken`:
-physical operators already poll the token at row/batch boundaries
-(every :data:`~repro.engine.cancel.POLL_INTERVAL` rows, or once per
-column batch), and those polls now carry the rows processed since the
-previous poll straight into :meth:`ActiveQuery.advance` — an attribute
-bump on the hot path only when a sink is installed. Parallel runs
-execute in worker processes whose tokens cannot reach this registry;
-their per-fragment row counts ship back on ``FragmentResult`` replies
-and the coordinator folds them in at gather time (see
-:func:`repro.parallel.fold_fragment_progress`).
+physical operators already poll the token once per column batch, and
+those polls carry the rows processed since the previous poll straight
+into :meth:`ActiveQuery.advance` — an attribute bump on the hot path
+only when a sink is installed.
 
 **The denominator.** ``estimated_rows`` is
 :func:`repro.engine.stats.estimated_work` over the compiled physical
@@ -28,10 +23,8 @@ show a "finished" query that is still running) and snaps to 1.0 only
 when the query completes successfully.
 
 **Admin cancel.** Each entry keeps the request's token, so
-:meth:`ActiveQueryRegistry.cancel` works for every execution mode: the
-token's event stops sequential row/batch loops at their next poll, and
-for parallel runs the pool's coordinator loop watches the same token
-and raises the shared cross-process ``Event`` that worker tokens poll.
+:meth:`ActiveQueryRegistry.cancel` stops the operators' batch loops at
+their next poll.
 
 Finished queries move into a bounded ``recent`` ring (kept out of the
 live set) so ``repro top`` and tests can see a query's final progress
@@ -59,8 +52,7 @@ RECENT_CAPACITY = 64
 class ActiveQuery:
     """One admitted request's live state; also its progress sink.
 
-    ``advance`` is called from the single thread executing the query
-    (sequential polls, and the coordinator folding parallel fragments),
+    ``advance`` is called from the single thread executing the query,
     so the counters are single-writer; readers (``/queries`` scrapes,
     ``repro top``) see a consistent monotone value under the GIL without
     taking a lock on the hot path.

@@ -126,16 +126,10 @@ class QueryResponse:
     #: feedback; empty for cache hits, coalesced followers, and unsampled
     #: executions. See repro.engine.feedback.
     misestimates: tuple = ()
-    #: Execution mode of the plan that produced the answer ("batch" /
-    #: "row" / "parallel" / "interpreted"). Cache hits and coalesced
-    #: followers carry the mode of the leader execution that produced
-    #: the memoized value.
+    #: How the answer was produced: "batch" (a compiled plan) or
+    #: "interpreted" (no plan). Cache hits and coalesced followers carry
+    #: the label of the leader execution that produced the memoized value.
     exec_mode: str | None = None
-    #: For parallel leader executions: the shard account of the scatter —
-    #: max/mean shard seconds, top-k slowest shards, rows/bytes shipped —
-    #: or the fallback reason when the plan could not shard (see
-    #: :class:`repro.parallel.ParallelExecStats`). None otherwise.
-    parallel: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -159,5 +153,4 @@ class QueryResponse:
             "rewrite_kinds": list(self.rewrite_kinds),
             "misestimates": list(self.misestimates),
             "exec_mode": self.exec_mode,
-            "parallel": self.parallel,
         }

@@ -151,28 +151,14 @@ class QueryService:
         slow_query_capacity: int = 16,
         feedback_every: int = 7,
         feedback_top_k: int = 3,
-        execution: str = "batch",
-        parts: int = 4,
     ):
-        from repro.engine.executor import EXECUTION_MODES
-
         if workers <= 0:
             raise ValueError("workers must be positive")
         if max_attempts <= 0:
             raise ValueError("max_attempts must be positive")
         if feedback_every < 0:
             raise ValueError("feedback_every must be >= 0 (0 disables feedback)")
-        if execution not in EXECUTION_MODES:
-            raise ValueError(f"execution must be one of {EXECUTION_MODES}")
-        if parts < 1:
-            raise ValueError("parts must be >= 1")
         self.catalog = catalog
-        #: Execution mode leader executions run planned queries in
-        #: ("batch" vectorized column batches, "row" tuple-at-a-time, or
-        #: "parallel" multiprocess scatter-gather; see docs/parallel.md).
-        self.execution = execution
-        #: Partition count for execution="parallel" leader executions.
-        self.parts = parts
         self.workers = workers
         self.queue_limit = queue_limit
         self.default_timeout = default_timeout
@@ -227,7 +213,7 @@ class QueryService:
         # Queries by the translator's rewrite decision (semijoin/antijoin/
         # nestjoin/flat/interpreted), counted once per leader execution.
         self.metrics.labeled_counter("queries_by_rewrite")
-        # Leader executions by execution mode (batch/row/interpreted).
+        # Served responses by how the answer was produced (batch/interpreted).
         self.metrics.labeled_counter("queries_by_exec_mode")
         # Cardinality-feedback instruments (see repro.engine.feedback):
         # pre-created so stats() and the /metrics exposition always carry
@@ -395,16 +381,11 @@ class QueryService:
         snap["active_queries"] = self.registry.snapshot()["active"]
         snap["events"] = events_snapshot()
         snap["slow_queries"] = self.slow_queries.snapshot()
-        # Every registered cache's byte/entry/counter report (plan, build,
-        # shard catalogs, ...), with "result" pinned to *this* service's
+        # Every registered cache's byte/entry/counter report (plan,
+        # build), with "result" pinned to *this* service's
         # cache rather than whichever instance registered last.
         snap["caches"] = self.caches(top_k=3)["caches"]
         snap["result_cache_bytes"] = self._results.total_bytes
-        # Imported lazily: repro.parallel must not load at service import
-        # time (it imports repro.server.metrics, closing a cycle).
-        from repro.parallel.pool import pool_health
-
-        snap["parallel_pool"] = pool_health()
         return snap
 
     def caches(self, top_k: int = 3) -> dict:
@@ -415,10 +396,6 @@ class QueryService:
         instance's result cache, so it is the snapshot behind both
         ``stats()["caches"]`` and the metrics server's ``GET /caches``.
         """
-        # Importing the pool registers its shard-catalog view, so the
-        # report is complete even before any stats()/parallel traffic.
-        import repro.parallel.pool  # noqa: F401  (lazy: avoids an import cycle)
-
         snap = caches_snapshot(top_k=top_k)
         result_report = self._results.report(top_k=top_k)
         result_report["memory_pressure"] = CACHE_REGISTRY.pressure_snapshot().get(
@@ -469,7 +446,7 @@ class QueryService:
             request.query,
             params=request.params,
             trace_id=trace.trace_id,
-            exec_mode=self.execution,
+            exec_mode="batch",
             token=token,
             deadline=pending.deadline,
         )
@@ -489,16 +466,8 @@ class QueryService:
         else:
             try:
                 with cancel_scope(token):
-                    value, version, source, attempts, pq, misests, exec_mode, par = (
+                    value, version, source, attempts, pq, misests, exec_mode = (
                         self._execute_with_retry(request, token)
-                    )
-                if par is not None and par.get("fallback"):
-                    emit_event(
-                        "fallback",
-                        query_id=request.request_id,
-                        trace_id=trace.trace_id,
-                        level="warning",
-                        reason=par["fallback"],
                     )
                 response.outcome = "ok"
                 response.value = value
@@ -507,12 +476,10 @@ class QueryService:
                 response.result_cache = source
                 response.attempts = attempts
                 response.misestimates = misests
-                # The mode that *produced* the answer: the leader's for
+                # How the answer was *produced*: the leader's label for
                 # misses, the memoized leader's for cache hits and
-                # coalesced followers — a parallel answer stays labeled
-                # "parallel" however this request obtained it.
+                # coalesced followers.
                 response.exec_mode = exec_mode
-                response.parallel = par
                 if pq is not None:
                     response.rewrite_kinds = pq.rewrite_kinds()
                 trace.record(
@@ -576,10 +543,8 @@ class QueryService:
                 self.metrics.counter("errors").inc()
                 response.error = str(exc)
                 trace.record("service", "error", detail=response.error)
-                from repro.errors import WorkerCrashError
-
                 emit_event(
-                    "crash" if isinstance(exc, WorkerCrashError) else "error",
+                    "error",
                     query_id=request.request_id,
                     trace_id=trace.trace_id,
                     level="error",
@@ -633,7 +598,6 @@ class QueryService:
             result_cache=response.result_cache,
             rewrite_kinds=list(response.rewrite_kinds),
             exec_mode=response.exec_mode,
-            parallel=response.parallel,
             events=[e.to_dict() for e in trace.events],
         )
         # The cache footprint at capture time: a slow entry then shows
@@ -654,8 +618,8 @@ class QueryService:
         if response.outcome == "ok":
             self.slow_queries.record_ok(entry)
         elif response.outcome in ("timeout", "cancelled", "error"):
-            # Errors join timeouts in the always-kept failure ring — a
-            # WorkerCrashError mid-query must be findable after the fact.
+            # Errors join timeouts in the always-kept failure ring, so a
+            # failed query is findable after the fact.
             self.slow_queries.record_failure(entry)
 
     def _execute_with_retry(self, request: QueryRequest, token: CancelToken):
@@ -666,10 +630,10 @@ class QueryService:
             attempts += 1
             token.check()
             try:
-                value, version, source, pq, misests, exec_mode, par = (
+                value, version, source, pq, misests, exec_mode = (
                     self._execute_shared(text, token, request)
                 )
-                return value, version, source, attempts, pq, misests, exec_mode, par
+                return value, version, source, attempts, pq, misests, exec_mode
             except CatalogVersionRace:
                 self.metrics.counter("retries").inc()
                 if attempts >= self.max_attempts:
@@ -703,7 +667,7 @@ class QueryService:
         if cached is not None:
             value, exec_mode = cached
             self.metrics.counter("result_hits").inc()
-            return value, version, "hit", None, (), exec_mode, None
+            return value, version, "hit", None, (), exec_mode
         pq = prepared(text, self.catalog, typecheck=self.typecheck)
         self._seed_estimate(token, pq)
         with self._inflight_lock:
@@ -723,9 +687,9 @@ class QueryService:
                     raise _LeaderCancelled(str(entry.error))
                 raise entry.error
             self.metrics.counter("result_coalesced").inc()
-            return entry.value, version, "coalesced", pq, (), entry.exec_mode, None
+            return entry.value, version, "coalesced", pq, (), entry.exec_mode
         try:
-            value, misestimates, exec_mode, par = self._execute_leader(pq, version)
+            value, misestimates, exec_mode = self._execute_leader(pq, version)
         except BaseException as exc:
             entry.error = exc
             raise
@@ -733,10 +697,10 @@ class QueryService:
             entry.value = value
             entry.exec_mode = exec_mode
             # Memoized with its producer's mode, so later hits attribute
-            # correctly (a parallel-produced answer stays "parallel").
+            # correctly.
             self._results.put(key, (value, exec_mode))
             self.metrics.counter("result_misses").inc()
-            return value, version, "miss", pq, misestimates, exec_mode, par
+            return value, version, "miss", pq, misestimates, exec_mode
         finally:
             with self._inflight_lock:
                 self._inflight.pop(key, None)
@@ -778,10 +742,8 @@ class QueryService:
     def _execute_leader(self, pq, version):
         """Execute the prepared query; raise if the catalog moved mid-flight.
 
-        Returns ``(value, misestimates, exec_mode, parallel)`` — the mode
-        the answer was produced in and, for parallel executions, the
-        shard-skew/fallback account left by
-        :func:`repro.parallel.consume_parallel_stats`.
+        Returns ``(value, misestimates, exec_mode)``; ``exec_mode`` is
+        ``"batch"`` for planned queries and ``"interpreted"`` otherwise.
 
         Every ``feedback_every``-th
         leader execution of a planned query runs instrumented
@@ -804,10 +766,10 @@ class QueryService:
         ):
             from repro.algebra.interpreter import result_set
 
-            run = pq.analyze(self.catalog, execution=self.execution, parts=self.parts)
+            run = pq.analyze(self.catalog)
             value = result_set(run.rows)
         else:
-            value = pq.execute(self.catalog, execution=self.execution, parts=self.parts)
+            value = pq.execute(self.catalog)
         if getattr(self.catalog, "version", None) != version:
             raise CatalogVersionRace(
                 f"catalog version moved from {version} to "
@@ -821,15 +783,8 @@ class QueryService:
             misestimates = tuple(
                 e.to_dict() for e in top_misestimates(entries, self.feedback_top_k)
             )
-        exec_mode = self.execution if pq.plan is not None else "interpreted"
-        parallel = None
-        if exec_mode == "parallel":
-            from repro.parallel import consume_parallel_stats
-
-            stats = consume_parallel_stats()
-            if stats is not None:
-                parallel = stats.to_dict()
-        return value, misestimates, exec_mode, parallel
+        exec_mode = "batch" if pq.plan is not None else "interpreted"
+        return value, misestimates, exec_mode
 
 
 def _slow_entry(request: QueryRequest, outcome: str, **extra) -> dict:

@@ -4,7 +4,8 @@ The query fuzzer only reaches plan shapes the translator emits; this suite
 generates arbitrary well-formed plans (outer-join + ν* chains, stacked
 Unnest, Distinct towers, Drop of nested attributes) and checks that the
 physical engine — under every forced join algorithm and under cost-based
-selection — agrees with the reference executor as a multiset.
+selection, at batch sizes that split the inputs (1, 7) and one that does
+not (1024) — agrees with the reference executor as a multiset.
 """
 
 import random
@@ -23,15 +24,15 @@ ALGORITHMS = ("nested_loop", "hash", "sort_merge", "index_nested_loop")
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 1_000_000))
-def test_random_plans_agree_across_algorithms(seed):
+@given(seed=st.integers(0, 1_000_000), batch_size=st.sampled_from((1, 7, 1024)))
+def test_random_plans_agree_across_algorithms(seed, batch_size):
     rng = random.Random(seed)
     catalog = random_catalog(rng, max_rows=6)
     plan = random_plan(rng)
     reference = Counter(run_logical(plan, catalog))
-    for algo in ALGORITHMS:
-        assert Counter(run_physical(plan, catalog, force_algorithm=algo)) == reference, algo
-    assert Counter(run_physical(plan, catalog)) == reference  # cost-based
+    for algo in ALGORITHMS + (None,):  # None: cost-based
+        got = run_physical(plan, catalog, force_algorithm=algo, batch_size=batch_size)
+        assert Counter(got) == reference, algo
 
 
 @settings(max_examples=60, deadline=None)

@@ -64,10 +64,6 @@ class TestCollectPerf:
             assert bench["runs"] == 2
             assert bench["rows"] >= 0
             assert bench["throughput_qps"] > 0
-            assert bench["row_throughput_qps"] > 0
-            assert bench["batch_speedup"] > 0
-            assert bench["parallel_throughput_qps"] > 0
-            assert bench["parallel_speedup"] > 0
             assert set(bench["latency_ms"]) == {"mean", "p50", "p95", "p99", "max"}
             assert bench["qerror_max"] >= 1.0 and math.isfinite(bench["qerror_max"])
             assert bench["rewrite_kinds"], name

@@ -8,7 +8,7 @@ from repro.engine.batch import (
     batches_from_rows,
     rows_from_batches,
 )
-from repro.engine.physical import PScan, PhysicalOp, has_batch_kernel
+from repro.engine.physical import PScan
 from repro.engine.table import Catalog
 from repro.errors import ExecutionError
 from repro.lang.parser import parse
@@ -77,28 +77,6 @@ class TestBatch:
 
 
 class TestProtocol:
-    def test_scan_has_batch_kernel(self):
-        assert has_batch_kernel(PScan("R", "r"))
-
-    def test_base_class_fallback_wraps_run(self, catalog):
-        class RowOnly(PhysicalOp):
-            est_rows = 0.0
-
-            def run(self, tables):
-                yield from (Tup(v=i) for i in range(7))
-
-            def children(self):
-                return ()
-
-            def describe(self):
-                return "RowOnly"
-
-        op = RowOnly()
-        assert not has_batch_kernel(op)
-        batches = list(op.run_batches(catalog, batch_size=4))
-        assert [b.n for b in batches] == [4, 3]
-        assert [t["v"] for t in rows_from_batches(iter(batches))] == list(range(7))
-
     def test_scan_batches_respect_batch_size(self, catalog):
         batches = list(PScan("R", "r").run_batches(catalog, batch_size=2))
         assert [b.n for b in batches] == [2, 2, 1]

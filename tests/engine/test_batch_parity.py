@@ -1,27 +1,25 @@
-"""Batch/row parity: every workload query, any batch size, same multiset.
+"""Batch/interpreter parity: every workload query, any batch size.
 
-The property the vectorized engine must uphold: for every workload query
-and every batch size — including the degenerate size 1 and sizes that
-misalign with the data (7) — batch execution produces exactly the row
-engine's output multiset, under the cost-based algorithm choice and under
-every forced join algorithm. Hypothesis drives the batch-size choice; the
-catalog is small so the whole grid stays fast.
+The property the engine must uphold: for every workload query and every
+batch size — including the degenerate size 1 and sizes that misalign
+with the data (7) — execution produces exactly the output multiset of
+the reference executor (:func:`repro.algebra.interpreter.run_logical`),
+under the cost-based algorithm choice and under every forced join
+algorithm. The catalog is small so the whole grid stays fast.
 """
 
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.algebra.interpreter import result_set, run_logical
 from repro.bench.perf import PERF_QUERIES
 from repro.core.pipeline import prepared
-from repro.engine.batch import rows_from_batches
 from repro.engine.executor import execute, execute_set
 from repro.engine.physical import JOIN_ALGORITHMS, compile_plan
 from repro.server.workload import mixed_catalog
 
-BATCH_SIZES = st.sampled_from((1, 7, 64, 1024))
+BATCH_SIZES = (1, 7, 64, 1024)
 
 
 @pytest.fixture(scope="module")
@@ -30,42 +28,21 @@ def catalog():
 
 
 @pytest.fixture(scope="module")
-def row_results(catalog):
+def reference(catalog):
     return {
-        name: Counter(prepared(text, catalog).compile_for(catalog).run(catalog))
+        name: run_logical(prepared(text, catalog).plan, catalog)
         for name, text in PERF_QUERIES.items()
     }
 
 
-@settings(max_examples=20, deadline=None)
-@given(batch_size=BATCH_SIZES)
-def test_workload_queries_batch_parity(catalog, row_results, batch_size):
-    for name, text in PERF_QUERIES.items():
-        physical = prepared(text, catalog).compile_for(catalog)
-        got = Counter(rows_from_batches(physical.run_batches(catalog, batch_size)))
-        assert got == row_results[name], (name, batch_size)
-
-
-@settings(max_examples=8, deadline=None)
-@given(batch_size=BATCH_SIZES)
-def test_forced_algorithms_batch_parity(catalog, batch_size):
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("algorithm", (None,) + JOIN_ALGORITHMS)
+def test_workload_queries_match_the_interpreter(catalog, reference, algorithm, batch_size):
     for name, text in PERF_QUERIES.items():
         plan = prepared(text, catalog).plan
-        for algorithm in JOIN_ALGORITHMS:
-            physical = compile_plan(plan, catalog, force_algorithm=algorithm)
-            want = Counter(physical.run(catalog))
-            got = Counter(rows_from_batches(physical.run_batches(catalog, batch_size)))
-            assert got == want, (name, algorithm, batch_size)
-
-
-@settings(max_examples=10, deadline=None)
-@given(batch_size=BATCH_SIZES)
-def test_executor_modes_agree(catalog, batch_size):
-    for name, text in PERF_QUERIES.items():
-        physical = prepared(text, catalog).compile_for(catalog)
-        batch_rows = execute(physical, catalog, execution="batch", batch_size=batch_size)
-        row_rows = execute(physical, catalog, execution="row")
-        assert Counter(batch_rows) == Counter(row_rows), name
-        assert execute_set(
-            physical, catalog, execution="batch", batch_size=batch_size
-        ) == frozenset(t[t.labels()[0]] for t in row_rows), name
+        physical = compile_plan(plan, catalog, force_algorithm=algorithm)
+        rows = execute(physical, catalog, batch_size=batch_size)
+        assert Counter(rows) == Counter(reference[name]), (name, algorithm, batch_size)
+        assert execute_set(physical, catalog, batch_size=batch_size) == result_set(
+            reference[name]
+        ), (name, algorithm, batch_size)

@@ -3,8 +3,8 @@
 A cache under memory pressure may evict any artifact at any time —
 including the entry just inserted — so execution must never *depend* on a
 cached value being retrievable. Run the whole perf workload with every
-cache squeezed under a budget far below a single build artifact, in each
-execution mode, and compare against the unbudgeted baseline.
+cache squeezed under a budget far below a single build artifact and
+compare against the unbudgeted baseline.
 """
 
 import pytest
@@ -35,7 +35,7 @@ def baseline(catalog):
     clear_plan_cache()
     clear_build_cache()
     return {
-        name: prepared(text, catalog).execute(catalog, execution="row")
+        name: prepared(text, catalog).execute(catalog)
         for name, text in PERF_QUERIES.items()
     }
 
@@ -53,19 +53,12 @@ def tiny_budgets():
     clear_build_cache()
 
 
-@pytest.mark.parametrize("execution", ["batch", "row"])
-def test_budgets_never_change_results(catalog, baseline, tiny_budgets, execution):
+def test_budgets_never_change_results(catalog, baseline, tiny_budgets):
     for name, text in PERF_QUERIES.items():
-        got = prepared(text, catalog).execute(catalog, execution=execution)
-        assert got == baseline[name], (name, execution)
+        got = prepared(text, catalog).execute(catalog)
+        assert got == baseline[name], name
         # Run each twice: the second execution exercises the rebuild path
         # after its artifacts were budget-evicted.
-        again = prepared(text, catalog).execute(catalog, execution=execution)
-        assert again == baseline[name], (name, execution)
+        again = prepared(text, catalog).execute(catalog)
+        assert again == baseline[name], name
     assert BUILD_CACHE.stats.evictions_by_reason.get("budget", 0) >= 1
-
-
-def test_budgets_never_change_parallel_results(catalog, baseline, tiny_budgets):
-    for name, text in PERF_QUERIES.items():
-        got = prepared(text, catalog).execute(catalog, execution="parallel", parts=2)
-        assert got == baseline[name], name

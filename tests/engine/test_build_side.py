@@ -1,15 +1,15 @@
 """Hash-join build-side choice (Section 6's aside on the regular join)."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.interpreter import run_logical
 from repro.algebra.plan import Join, NestJoin, Scan, SemiJoin
-from repro.engine.executor import run_physical
-from repro.engine.joins.common import analyse_join
-from repro.engine.joins.hash_join import hash_inner_join, hash_inner_join_build_left
+from repro.engine.executor import execute, run_physical
 from repro.engine.physical import PJoin, compile_plan
 from repro.engine.table import Catalog
 from repro.lang.parser import parse
@@ -18,7 +18,6 @@ from repro.model.values import Tup
 X = Scan("X", "x")
 Y = Scan("Y", "y")
 EQUI = parse("x.b = y.d")
-SPEC = analyse_join(EQUI, ("x",), ("y",))
 
 
 def catalog(nx, ny, seed=0):
@@ -70,16 +69,16 @@ class TestBuildSideChoice:
 
 @settings(max_examples=50, deadline=None)
 @given(
-    left=st.lists(
-        st.builds(lambda a, b: Tup(x=Tup(a=a, b=b)), st.integers(0, 3), st.integers(0, 3)),
-        max_size=8,
-    ),
-    right=st.lists(
-        st.builds(lambda c, d: Tup(y=Tup(c=c, d=d)), st.integers(0, 3), st.integers(0, 3)),
-        max_size=8,
-    ),
+    left=st.lists(st.builds(Tup, a=st.integers(0, 3), b=st.integers(0, 3)), max_size=8),
+    right=st.lists(st.builds(Tup, c=st.integers(0, 3), d=st.integers(0, 3)), max_size=8),
 )
 def test_build_sides_produce_identical_multisets(left, right):
-    a = Counter(hash_inner_join(left, list(right), SPEC, {}))
-    b = Counter(hash_inner_join_build_left(list(left), right, SPEC, {}))
-    assert a == b
+    tables = Catalog()
+    tables.add_rows("X", left)
+    tables.add_rows("Y", right)
+    plan = Join(X, Y, EQUI)
+    join = compile_plan(plan, tables, force_algorithm="hash")
+    want = Counter(run_logical(plan, tables))
+    for build_left in (False, True):
+        op = dataclasses.replace(join, hash_build_left=build_left)
+        assert Counter(execute(op, tables)) == want

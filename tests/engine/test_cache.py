@@ -13,7 +13,7 @@ from repro.engine.cache import (
     set_build_cache_budget,
     set_build_cache_capacity,
 )
-from repro.engine.executor import run_physical
+from repro.engine.executor import execute, run_physical
 from repro.engine.physical import PJoin, compile_plan
 from repro.engine.table import Catalog, Table
 from repro.lang.parser import parse
@@ -105,8 +105,8 @@ class TestBuildSideReuse:
         op = self._compiled_hash_join(cat)
         join = find_join(op)
         assert join.cache_source is not None
-        first = frozenset(op.run(cat))
-        second = frozenset(op.run(cat))
+        first = frozenset(execute(op, cat))
+        second = frozenset(execute(op, cat))
         assert first == second
         assert join.cache_misses == 1 and join.cache_hits == 1
         assert build_cache_stats().hits == 1
@@ -115,17 +115,17 @@ class TestBuildSideReuse:
         cat = catalog(nx=200, ny=50)
         op1 = self._compiled_hash_join(cat)
         op2 = self._compiled_hash_join(cat)
-        frozenset(op1.run(cat))
-        frozenset(op2.run(cat))
+        frozenset(execute(op1, cat))
+        frozenset(execute(op2, cat))
         assert find_join(op1).cache_misses == 1
         assert find_join(op2).cache_hits == 1
 
     def test_mutation_invalidates(self):
         cat = catalog(nx=200, ny=50)
         op = self._compiled_hash_join(cat)
-        before = frozenset(op.run(cat))
+        before = frozenset(execute(op, cat))
         cat["Y"].insert([Tup(c=999, d=1)])
-        after = frozenset(op.run(cat))
+        after = frozenset(execute(op, cat))
         join = find_join(op)
         assert join.cache_misses == 2 and join.cache_hits == 0
         assert len(after) > len(before)
@@ -134,7 +134,7 @@ class TestBuildSideReuse:
         cat = catalog(nx=30, ny=40)
         plan = Join(Scan("X", "x"), Scan("Y", "y"), parse("x.b = y.d"))
         op = compile_plan(plan, cat, force_algorithm="sort_merge")
-        assert frozenset(op.run(cat)) == frozenset(op.run(cat))
+        assert frozenset(execute(op, cat)) == frozenset(execute(op, cat))
         assert find_join(op).cache_hits == 1
 
     def test_nest_join_group_table_reused(self):
@@ -146,8 +146,8 @@ class TestBuildSideReuse:
         join = find_join(op)
         assert join.group_source is not None
         naive = frozenset(run_physical(plan, cat))
-        assert frozenset(op.run(cat)) == naive
-        assert frozenset(op.run(cat)) == naive
+        assert frozenset(execute(op, cat)) == naive
+        assert frozenset(execute(op, cat)) == naive
         assert join.cache_hits >= 1
 
     def test_eviction_under_tiny_capacity(self):
@@ -156,17 +156,17 @@ class TestBuildSideReuse:
         op1 = self._compiled_hash_join(cat)
         plan2 = Join(Scan("X", "x"), Scan("Y", "y"), parse("x.a = y.c"))
         op2 = compile_plan(plan2, cat, force_algorithm="hash")
-        frozenset(op1.run(cat))
-        frozenset(op2.run(cat))  # different keys: evicts op1's build
-        frozenset(op1.run(cat))  # must rebuild, still correct
+        frozenset(execute(op1, cat))
+        frozenset(execute(op2, cat))  # different keys: evicts op1's build
+        frozenset(execute(op1, cat))  # must rebuild, still correct
         assert BUILD_CACHE.stats.evictions >= 1
         assert find_join(op1).cache_misses == 2
 
     def test_explain_shows_counters(self):
         cat = catalog(nx=200, ny=50)
         op = self._compiled_hash_join(cat)
-        frozenset(op.run(cat))
-        frozenset(op.run(cat))
+        frozenset(execute(op, cat))
+        frozenset(execute(op, cat))
         from repro.engine.explain import explain_physical
 
         text = explain_physical(op)
@@ -176,7 +176,7 @@ class TestBuildSideReuse:
         cat = catalog(nx=200, ny=50)
         op = self._compiled_hash_join(cat)
         plain = {"X": list(cat["X"]), "Y": list(cat["Y"])}
-        assert frozenset(op.run(plain)) == frozenset(op.run(cat))
+        assert frozenset(execute(op, plain)) == frozenset(execute(op, cat))
         # Only the Table-backed run used the cache.
         assert find_join(op).cache_misses == 1
 
@@ -224,8 +224,8 @@ class TestEvictionReasons:
             plan = Join(Scan("X", "x"), Scan("Y", "y"), parse("x.b = y.d"))
             op = compile_plan(plan, cat, force_algorithm="hash")
             baseline = frozenset(run_physical(plan, cat))
-            assert frozenset(op.run(cat)) == baseline
-            assert frozenset(op.run(cat)) == baseline  # rebuild, still right
+            assert frozenset(execute(op, cat)) == baseline
+            assert frozenset(execute(op, cat)) == baseline  # rebuild, still right
             reasons = BUILD_CACHE.stats.evictions_by_reason
             assert reasons.get("budget", 0) >= 1
         finally:

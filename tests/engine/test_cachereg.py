@@ -90,7 +90,6 @@ class TestGlobalRegistry:
         # Importing the cache layers is enough; no traffic required.
         import repro.core.pipeline  # noqa: F401
         import repro.engine.cache  # noqa: F401
-        import repro.parallel.pool  # noqa: F401
 
         names = CACHE_REGISTRY.names()
-        assert {"build", "plan", "shard-catalog"} <= set(names)
+        assert {"build", "plan"} <= set(names)

@@ -1,13 +1,16 @@
 """Differential tests: the closure compiler must match the interpreter."""
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import prepared
+from repro.engine.table import Catalog
 from repro.errors import ExecutionError
-from repro.lang.compile import compile_expr, compiled
+from repro.lang.compile import _CACHE, compile_expr, compiled
 from repro.lang.eval import Env, evaluate
 from repro.lang.parser import parse
 from repro.model.values import NULL, Tup
@@ -93,6 +96,37 @@ class TestMemoisation:
         b = parse("x.a = 1")
         assert a == b
         assert compiled(a) is not compiled(b)
+
+    def test_entries_die_with_their_expression(self):
+        shapes = (
+            "x.a = {i}",
+            "(a = x.a, n = COUNT(SELECT s FROM S s WHERE s.c = x.c AND s.d < {i}))",
+            "EXISTS v IN x.s (v = {i})",
+            "SELECT (s = s, r = x) FROM S s WHERE s.c IN (SELECT t.c FROM S t WHERE t.d = {i})",
+            "FORALL v IN {{1, {i}}} (v > 0 OR x.a = v)",
+        )
+        compiled(parse(shapes[0].format(i=0)))  # shared constants are cached by now
+        gc.collect()
+        before = len(_CACHE)
+        for i in range(1000):
+            compiled(parse(shapes[i % len(shapes)].format(i=i)))
+        gc.collect()
+        assert len(_CACHE) == before
+
+    def test_a_held_plan_keeps_hitting(self):
+        catalog = Catalog()
+        catalog.add_rows("R", [Tup(a=1, c=2)])
+        physical = prepared("SELECT r FROM R r WHERE r.a = 1", catalog).compile_for(catalog)
+        (pred,) = [op.pred for op in _operators(physical) if hasattr(op, "pred")]
+        fn = compiled(pred)
+        gc.collect()
+        assert compiled(pred) is fn
+
+
+def _operators(op):
+    yield op
+    for child in op.children():
+        yield from _operators(child)
 
 
 class TestScoping:

@@ -1,33 +1,23 @@
-"""Pickle round-trips for everything the parallel engine ships cross-process.
+"""Pickle round-trips for the value model and its containers.
 
-A plan fragment crosses the process boundary as (physical operator tree,
-shard tables, catalog tables); results come back as row lists / frozensets
-of model values. Each of these has a pickle hazard the default protocol
-trips over:
+Each of these has a pickle hazard the default protocol trips over:
 
 * ``Tup``/``Variant`` — immutable ``__setattr__`` breaks slot-state
   restore (and ``Tup.__getattr__`` recurses while ``_fields`` is unset);
-* ``Table`` — holds an ``RLock`` plus process-local derived caches;
-* ``JoinSpec`` — caches compiled closures in its instance ``__dict__``;
-* physical operator trees — embed all of the above.
+* ``Table`` — holds an ``RLock`` plus process-local derived caches.
 
 These tests pin the fixes: round-trip through every pickle protocol and
 check both equality and *behaviour* (the restored object must still
-execute / index / evaluate).
+index / evaluate).
 """
 
 import pickle
 
 import pytest
 
-from repro.core.pipeline import prepared
-from repro.engine.batch import Batch, rows_from_batches
-from repro.engine.joins.common import JoinSpec, analyse_join
+from repro.engine.batch import Batch
 from repro.engine.table import Table
-from repro.lang.parser import parse
 from repro.model.values import NULL, Tup, Variant, make_value
-from repro.server.workload import mixed_catalog
-from repro.workloads import COUNT_BUG_NESTED
 
 PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
 
@@ -90,39 +80,10 @@ def test_table_roundtrip(protocol):
     assert back.name == table.name
     assert back.rows == table.rows
     assert back.version == table.version
-    # A fresh uid in the receiving process: shards of one parent table must
-    # never alias each other's build-cache entries.
+    # A fresh uid in the receiving process: a copy must never alias
+    # another table's build-cache entries.
     assert back.uid != table.uid
     # Derived state rebuilds lazily and behaves.
     assert back.hash_index(("a",))[(3,)] == table.hash_index(("a",))[(3,)]
     back.bump_version()
     assert back.version == table.version + 1
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_joinspec_roundtrip_recompiles(protocol):
-    pred = parse("x.a = y.a AND x.b < y.b")
-    spec = analyse_join(pred, ("x",), ("y",)).precompile()
-    assert "_left_fns" in spec.__dict__  # closures are materialized...
-    back = roundtrip(spec, protocol)
-    assert isinstance(back, JoinSpec)
-    assert "_left_fns" not in back.__dict__  # ...but never shipped
-    assert back.left_keys == spec.left_keys
-    assert back.right_keys == spec.right_keys
-    assert back.residual == spec.residual
-    # The restored spec recompiles lazily and evaluates.
-    left = Tup(x=Tup(a=1, b=2))
-    right = Tup(y=Tup(a=1, b=5))
-    assert back.eval_left(left, {}) == spec.eval_left(left, {})
-    assert back.eval_right(right, {}) == spec.eval_right(right, {})
-    assert back.eval_residual(left.concat(right), {})
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_compiled_plan_roundtrip_executes(protocol):
-    catalog = mixed_catalog(seed=0, n_left=12, n_right=30, n_chain=5)
-    physical = prepared(COUNT_BUG_NESTED, catalog).compile_for(catalog)
-    want = set(physical.run(catalog))
-    back = roundtrip(physical, protocol)
-    assert set(back.run(catalog)) == want
-    assert set(rows_from_batches(back.run_batches(catalog, 16))) == want

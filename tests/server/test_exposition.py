@@ -140,37 +140,6 @@ class TestServeMetrics:
         assert samples[("repro_workers", ())] == 2.0
         assert ("repro_queue_depth", ()) in samples
 
-    def test_scrape_includes_pool_health_families(self):
-        """The worker pool's process-global instruments merge into every
-        service scrape and parse strictly — even before the first
-        parallel query (pre-created families render at zero)."""
-        catalog = mixed_catalog(seed=5, n_left=20, n_right=80, n_chain=4)
-        with QueryService(catalog, workers=1) as service:
-            with serve_metrics(service) as server:
-                with urllib.request.urlopen(f"{server.url}/metrics", timeout=5) as resp:
-                    samples = parse_prometheus(resp.read().decode())
-        for family in (
-            "repro_pool_scatters_total",
-            "repro_pool_fragments_total",
-            "repro_pool_worker_crashes_total",
-            "repro_pool_worker_restarts_total",
-            "repro_pool_workers_spawned_total",
-            "repro_pool_catalog_ship_hits_total",
-            "repro_pool_catalog_ship_misses_total",
-        ):
-            assert (family, ()) in samples, family
-        for family in (
-            "repro_pool_dispatch_wait_ms",
-            "repro_pool_scatter_ms",
-            "repro_pool_gather_ms",
-            "repro_pool_payload_bytes",
-            "repro_pool_reply_bytes",
-        ):
-            assert (f"{family}_count", ()) in samples, family
-            assert (family, (("quantile", "0.5"),)) in samples, family
-        assert ("repro_pool_live_workers", ()) in samples
-        assert ("repro_pool_count", ()) in samples
-
     def test_merged_snapshot_keeps_service_instruments(self):
         from repro.server.exposition import merged_service_snapshot
 
@@ -179,8 +148,7 @@ class TestServeMetrics:
             service.execute("SELECT r FROM R r WHERE r.a = 1")
             snap = merged_service_snapshot(service)
         assert snap["counters"]["ok"] >= 1  # service side intact
-        assert "pool_scatters" in snap["counters"]  # pool side merged
-        assert "pool_sequential_fallbacks" in snap["labeled"]
+        assert snap["families"]  # cache side merged
         parse_prometheus(prometheus_text(snap))  # and it all renders cleanly
 
 
@@ -245,7 +213,7 @@ class TestCacheFamilies:
             if name == "repro_cache_bytes"
         }
         caches = {dict(labels)["cache"] for labels in by_cache}
-        assert {"plan", "build", "result", "shard-catalog"} <= caches
+        assert {"plan", "build", "result"} <= caches
         assert samples[("repro_cache_entries", (("cache", "result"),))] >= 1.0
 
 
@@ -258,7 +226,7 @@ class TestCachesEndpoint:
                 with urllib.request.urlopen(f"{server.url}/caches", timeout=5) as resp:
                     assert resp.status == 200
                     snap = json.loads(resp.read())
-        assert {"plan", "build", "result", "shard-catalog"} <= set(snap["caches"])
+        assert {"plan", "build", "result"} <= set(snap["caches"])
         assert snap["total_bytes"] > 0
         result = snap["caches"]["result"]
         assert result["bytes"] > 0 and result["entries"] >= 1

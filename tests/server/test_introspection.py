@@ -251,8 +251,7 @@ class TestCoalesceLeaderCancel:
 
 @pytest.mark.thread_stress
 class TestProgressMonotonicity:
-    @pytest.mark.parametrize("execution", ["batch", "row", "parallel"])
-    def test_rows_monotone_and_progress_bounded(self, execution):
+    def test_rows_monotone_and_progress_bounded(self):
         catalog = mixed_catalog(seed=4, n_left=400, n_right=2400, n_chain=60)
         samples: dict[str, list[tuple[int, float]]] = {}
         stop = threading.Event()
@@ -265,7 +264,7 @@ class TestProgressMonotonicity:
                     )
                 time.sleep(0.001)
 
-        with QueryService(catalog, workers=2, execution=execution) as service:
+        with QueryService(catalog, workers=2) as service:
             thread = threading.Thread(target=sampler, daemon=True)
             thread.start()
             try:

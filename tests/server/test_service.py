@@ -98,7 +98,7 @@ class TestBasicServing:
         assert stats["counters"]["completed"] == 2
         assert stats["counters"]["result_hits"] == 1
         assert stats["histograms"]["latency_ms"]["count"] == 2
-        assert set(stats["caches"]) >= {"plan", "build", "result", "shard-catalog"}
+        assert set(stats["caches"]) >= {"plan", "build", "result"}
         assert stats["caches"]["result"]["hits"] == 1
         # Every registered cache reports the byte axis alongside counters.
         for report in stats["caches"].values():

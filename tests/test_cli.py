@@ -171,7 +171,7 @@ class TestOtherCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "repro caches —" in out and "total=" in out
-        for name in ("plan", "build", "result", "shard-catalog"):
+        for name in ("plan", "build", "result"):
             assert name in out
         assert "KiB" in out or "MiB" in out  # nonzero human-readable bytes
         assert "\x1b[2J" not in out  # --plain never clears the screen
