@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.algebra.interpreter import result_set, run_logical
 from repro.algebra.pretty import explain_plan
@@ -27,10 +28,12 @@ from repro.engine.cache import CacheStats, LRUCache, default_budget_bytes
 from repro.engine.cachereg import register_cache
 from repro.engine.table import Catalog
 from repro.errors import UnsupportedQueryError
-from repro.lang.ast import SFW, Expr, UnnestExpr
+from repro.lang.ast import SFW, Expr, UnnestExpr, param_names
 from repro.lang.eval import evaluate
+from repro.lang.params import bind_values, param_scope, param_signature
 from repro.lang.parser import parse
 from repro.lang.typing import TypeEnv, type_of
+from repro.model.types import type_of_value
 
 __all__ = [
     "QueryResult",
@@ -69,6 +72,12 @@ def _as_ast(query: str | Expr) -> Expr:
     return parse(query) if isinstance(query, str) else query
 
 
+def _typecheck(ast: Expr, catalog: Catalog, params: dict) -> None:
+    """Type *ast* against the catalog, each ``$name`` as its bound value."""
+    types = {name: type_of_value(value) for name, value in params.items()}
+    type_of(ast, TypeEnv.with_tables(catalog.row_types(), types))
+
+
 def prepare(
     query: str | Expr,
     catalog: Catalog,
@@ -85,7 +94,7 @@ def prepare(
             ast = _as_ast(query)
         if typecheck:
             with span("typecheck"):
-                type_of(ast, TypeEnv.with_tables(catalog.row_types()))
+                _typecheck(ast, catalog, {})
         if not isinstance(ast, (SFW, UnnestExpr)):
             raise UnsupportedQueryError(
                 f"top-level query must be a SELECT-FROM-WHERE (or UNNEST of one), got {type(ast).__name__}"
@@ -100,6 +109,11 @@ def _null_scope():
     yield
 
 
+def _params_scope(params: Mapping[str, object] | None):
+    """Bind *params* for the block, or keep the ambient binding when None."""
+    return _null_scope() if params is None else param_scope(bind_values(params))
+
+
 def run_query(
     query: str | Expr,
     catalog: Catalog,
@@ -108,6 +122,7 @@ def run_query(
     rewrite: bool = True,
     analyze: bool = False,
     trace: QueryTrace | None = None,
+    params: Mapping[str, object] | None = None,
 ) -> QueryResult:
     """Execute *query* against *catalog* and return its value as a set.
 
@@ -121,10 +136,14 @@ def run_query(
     per-operator rows in/out, wall time, cache hits, and peak group sizes
     to the result.  ``trace`` collects the rewrite-decision trace and
     phase timings; pass a fresh :class:`~repro.core.trace.QueryTrace` (it
-    is also returned on the result).
+    is also returned on the result). ``params`` binds the query's
+    ``$name`` parameters, on every engine.
     """
-    with trace_scope(trace) if trace is not None else _null_scope():
-        return _run_query_traced(query, catalog, engine, typecheck, rewrite, analyze, trace)
+    bound = bind_values(params)
+    with trace_scope(trace) if trace is not None else _null_scope(), param_scope(bound):
+        return _run_query_traced(
+            query, catalog, engine, typecheck, rewrite, analyze, trace, bound
+        )
 
 
 def _run_query_traced(
@@ -135,12 +154,13 @@ def _run_query_traced(
     rewrite: bool,
     analyze: bool,
     trace: QueryTrace | None,
+    params: dict,
 ) -> QueryResult:
     with span("parse"):
         ast = _as_ast(query)
     if typecheck:
         with span("typecheck"):
-            type_of(ast, TypeEnv.with_tables(catalog.row_types()))
+            _typecheck(ast, catalog, params)
     if engine == "interpret":
         with span("execute", detail="interpreter"):
             value = evaluate(ast, tables=catalog)
@@ -214,9 +234,19 @@ class PreparedQuery:
 
     Falls back to the interpreter transparently when the query shape has
     no plan (outer FROM operand not a stored table).
+
+    ``$name`` parameters stay opaque in the plan: *params* at preparation
+    only types them, and each :meth:`execute` binds its own values, so one
+    preparation serves every binding of the same types.
     """
 
-    def __init__(self, query: str | Expr, catalog: Catalog, typecheck: bool = True):
+    def __init__(
+        self,
+        query: str | Expr,
+        catalog: Catalog,
+        typecheck: bool = True,
+        params: Mapping[str, object] | None = None,
+    ):
         from repro.algebra.rewrite import optimize_logical
 
         #: The preparation-time trace: which Table 2 rows matched, the
@@ -229,7 +259,7 @@ class PreparedQuery:
                 self.ast = _as_ast(query)
             if typecheck:
                 with span("typecheck"):
-                    type_of(self.ast, TypeEnv.with_tables(catalog.row_types()))
+                    _typecheck(self.ast, catalog, bind_values(params))
             if not isinstance(self.ast, (SFW, UnnestExpr)):
                 raise UnsupportedQueryError(
                     "top-level query must be a SELECT-FROM-WHERE (or UNNEST of one)"
@@ -270,16 +300,23 @@ class PreparedQuery:
                 self._compiled[key] = entry
             return entry[1]
 
-    def execute(self, catalog: Catalog) -> frozenset:
-        """Run against *catalog* and return the result set."""
+    def execute(
+        self, catalog: Catalog, params: Mapping[str, object] | None = None
+    ) -> frozenset:
+        """Run against *catalog* and return the result set.
+
+        *params* binds the ``$name`` parameters for this run; without it
+        the run reads the binding already installed on this thread (see
+        :func:`repro.lang.params.param_scope`), if any.
+        """
         from repro.engine.executor import execute_set
 
-        if self.plan is None:
-            return _as_result_set(evaluate(self.ast, tables=catalog))
-        physical = self.compile_for(catalog)
-        return execute_set(physical, catalog)
+        with _params_scope(params):
+            if self.plan is None:
+                return _as_result_set(evaluate(self.ast, tables=catalog))
+            return execute_set(self.compile_for(catalog), catalog)
 
-    def analyze(self, catalog: Catalog):
+    def analyze(self, catalog: Catalog, params: Mapping[str, object] | None = None):
         """Instrumented execution: returns an AnalyzedRun (see engine.analyze).
 
         Each call also records the run's per-operator q-errors into the
@@ -288,7 +325,8 @@ class PreparedQuery:
         from repro.engine.analyze import analyze as _analyze
         from repro.engine.feedback import record_run
 
-        run = _analyze(self.compile_for(catalog), catalog)
+        with _params_scope(params):
+            run = _analyze(self.compile_for(catalog), catalog)
         record_run(run, rewrite_kinds=self.rewrite_kinds())
         return run
 
@@ -315,16 +353,18 @@ class PreparedQuery:
 
 
 # ---------------------------------------------------------------------------
-# The prepared-plan cache: (normalized query, schema fingerprint) → PreparedQuery
+# The prepared-plan cache: (normalized query, schema fingerprint, typecheck,
+# parameter types) → PreparedQuery, behind a raw-text → normalized-text memo
 # ---------------------------------------------------------------------------
 
 def _plan_key_identity(key) -> dict:
     """Top-entry identity for a plan-cache key: the normalized query text."""
-    text, fingerprint, typecheck = key
+    text, fingerprint, typecheck, param_types = key
     return {
         "query": text if len(text) <= 120 else text[:119] + "…",
         "schema_fingerprint": str(fingerprint)[:40],
         "typecheck": typecheck,
+        "param_types": [repr(t) for t in param_types],
     }
 
 
@@ -341,31 +381,65 @@ register_cache("plan", _PLAN_CACHE.report)
 #: requests for the same query shape produce one PreparedQuery, not many.
 _PREPARE_LOCK = threading.Lock()
 
+#: Raw query text → (normalized text, parameter names): a repeated text
+#: finds its plan-cache key in one dict lookup, without a parse. It holds
+#: strings only, never a PreparedQuery, so it cannot keep a plan alive
+#: after the plan cache evicted it. Bounded; the oldest text goes first.
+_SHAPES: dict[str, tuple[str, tuple[str, ...]]] = {}
+_SHAPES_CAPACITY = 1024
+_SHAPES_LOCK = threading.Lock()
 
-def _plan_cache_key(ast: Expr, catalog: Catalog, typecheck: bool):
-    fingerprint = getattr(catalog, "schema_fingerprint", None)
-    if fingerprint is None:
-        return None  # plain mappings have no schema identity to key on
+
+def _shape(ast: Expr) -> tuple[str, tuple[str, ...]]:
     from repro.lang.pretty import pretty
 
-    return (pretty(ast), fingerprint(), typecheck)
+    return pretty(ast), param_names(ast)
 
 
-def prepared(query: str | Expr, catalog: Catalog, typecheck: bool = True) -> PreparedQuery:
+def _remember_shape(text: str, ast: Expr) -> tuple[str, tuple[str, ...]]:
+    shape = _shape(ast)
+    with _SHAPES_LOCK:
+        if len(_SHAPES) >= _SHAPES_CAPACITY:
+            del _SHAPES[next(iter(_SHAPES))]
+        _SHAPES[text] = shape
+    return shape
+
+
+def prepared(
+    query: str | Expr,
+    catalog: Catalog,
+    typecheck: bool = True,
+    params: Mapping[str, object] | None = None,
+) -> PreparedQuery:
     """The serving front door: a cached :class:`PreparedQuery`.
 
-    Parses *query*, normalizes it (via the pretty-printer, so formatting
-    differences share one entry), and returns the LRU-cached preparation
-    for (normalized text, catalog schema fingerprint). Queries hitting the
-    cache skip parse/type-check/translate/rewrite entirely; physical
-    compilation is further cached inside :class:`PreparedQuery` per catalog
-    version. Repeated traffic therefore pays translation once per distinct
-    query shape, not once per call.
+    Normalizes *query* (via the pretty-printer, so formatting differences
+    share one entry) and returns the LRU-cached preparation for
+    (normalized text, catalog schema fingerprint, typecheck, the types
+    *params* binds to the query's ``$name`` parameters). A text seen
+    before is not even re-parsed: a memo maps it to its normalized form.
+    Queries hitting the cache skip parse/type-check/translate/rewrite
+    entirely; physical compilation is further cached inside
+    :class:`PreparedQuery` per catalog version. Repeated traffic therefore
+    pays translation once per distinct query shape — and a parameterised
+    text is one shape for all its bindings — not once per call. Execute
+    the result with the same *params*.
     """
-    ast = _as_ast(query)
-    key = _plan_cache_key(ast, catalog, typecheck)
-    if key is None:
-        return PreparedQuery(ast, catalog, typecheck=typecheck)
+    fingerprint = getattr(catalog, "schema_fingerprint", None)
+    if fingerprint is None:  # plain mappings have no schema identity to key on
+        return PreparedQuery(query, catalog, typecheck=typecheck, params=params)
+    ast = None
+    if isinstance(query, str):
+        shape = _SHAPES.get(query)
+        if shape is None:
+            ast = parse(query)
+            shape = _remember_shape(query, ast)
+    else:
+        ast = query
+        shape = _shape(ast)
+    text, names = shape
+    types = param_signature(names, bind_values(params)) if typecheck else ()
+    key = (text, fingerprint(), typecheck, types)
     entry = _PLAN_CACHE.get(key)
     if entry is None:
         # Double-checked under a lock: concurrent misses for the same key
@@ -374,7 +448,12 @@ def prepared(query: str | Expr, catalog: Catalog, typecheck: bool = True) -> Pre
         with _PREPARE_LOCK:
             entry = _PLAN_CACHE.peek(key)
             if entry is None:
-                entry = PreparedQuery(ast, catalog, typecheck=typecheck)
+                entry = PreparedQuery(
+                    ast if ast is not None else parse(query),
+                    catalog,
+                    typecheck=typecheck,
+                    params=params,
+                )
                 _PLAN_CACHE.put(key, entry)
     return entry
 
@@ -385,8 +464,11 @@ def plan_cache_stats() -> CacheStats:
 
 
 def clear_plan_cache(capacity: int | None = None) -> None:
-    """Drop all cached preparations (and optionally resize the cache)."""
+    """Drop all cached preparations and the text memo (and optionally
+    resize the cache)."""
     _PLAN_CACHE.clear()
+    with _SHAPES_LOCK:
+        _SHAPES.clear()
     if capacity is not None:
         _PLAN_CACHE.resize(capacity)
 

@@ -383,6 +383,17 @@ class BuildSideCache:
     def get(self, key: Hashable) -> Any:
         return self._lru.get(key)
 
+    def previous(self, key: Hashable) -> tuple[int, Any] | None:
+        """``(version, artifact)`` cached for *key*'s table at an older
+        version, or None: the start for an artifact patched rather than
+        rebuilt. Touches neither recency nor the counters."""
+        kind, uid, version, var, keys_fp = key
+        older = self._by_identity.get((kind, uid, var, keys_fp))
+        if older is None or older[2] >= version:
+            return None
+        artifact = self._lru.peek(older)
+        return None if artifact is None else (older[2], artifact)
+
     def put(self, key: Hashable, value: Any, nbytes: int | None = None) -> None:
         with self._write_lock:
             kind, uid, _version, var, keys_fp = key

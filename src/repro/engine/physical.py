@@ -57,8 +57,21 @@ from repro.engine.joins.sort_merge import (
     sm_semi_join,
 )
 from repro.engine.stats import StatsCatalog, estimate_rows
+from repro.engine.table import index_key
 from repro.errors import ExecutionError, PlanError
-from repro.lang.ast import Expr, Var
+from repro.lang.ast import (
+    Attr,
+    Cmp,
+    CmpOp,
+    Const,
+    Expr,
+    Param,
+    Var,
+    conjuncts,
+    make_and,
+    param_names,
+)
+from repro.model.types import TupleType
 from repro.model.values import Tup
 
 __all__ = ["PhysicalOp", "compile_plan", "JOIN_ALGORITHMS"]
@@ -111,12 +124,21 @@ class PScan(PhysicalOp):
     table: str
     var: str
     est_rows: float = 0.0
+    #: ``(attr, closed expr)`` for a point probe: the scan yields only the
+    #: rows whose ``attr`` equals the expression's value, looked up in the
+    #: table's persistent :meth:`~repro.engine.table.Table.hash_index`.
+    #: Set by the compiler for a selection ``var.attr = e`` directly over
+    #: the scan, with ``e`` a constant or a parameter.
+    probe: tuple[str, Expr] | None = None
 
     def run_batches(self, tables, batch_size=DEFAULT_BATCH_SIZE):
         # The vectorized scan slices the stored row list straight into
         # single-column batches: no per-row wrapping at all.
         source = tables[self.table]
-        rows = source.rows if hasattr(source, "rows") else list(source)
+        if self.probe is not None:
+            rows = self._probed_rows(source, tables)
+        else:
+            rows = source.rows if hasattr(source, "rows") else list(source)
         var = self.var
         token = current_token()
         op_label = (
@@ -130,8 +152,51 @@ class PScan(PhysicalOp):
                 token.check(len(chunk), op_label)
             yield Batch({var: chunk}, len(chunk))
 
+    def _probed_rows(self, source, tables):
+        """The rows the probe selects: one hash lookup, the filter's answer.
+
+        Index keys and the filter's ``=`` agree (``1`` finds ``1.0``,
+        ``NULL`` finds ``NULL``); a value unequal to itself (NaN) matches
+        nothing, as in the filter. Rows lacking *attr* sit under the key
+        ``(None,)``, which no model value equals: then — or over a source
+        without an index — the probe evaluates its equality row by row,
+        raising the filter's :class:`ExecutionError` on such a row.
+        """
+        from repro.lang.compile import compiled
+
+        attr, expr = self.probe
+        value = compiled(expr)({}, tables)
+        index = source.hash_index((attr,)) if hasattr(source, "hash_index") else None
+        if index is None or (None,) in index:
+            return self._filtered_rows(source, tables)
+        if value != value:
+            return ()
+        return index.get((value,), ())
+
+    def _filtered_rows(self, source, tables):
+        from repro.lang.compile import compiled
+
+        pred = getattr(self, "_probe_pred", None)
+        if pred is None:
+            attr, expr = self.probe
+            pred = self._probe_pred = Cmp(CmpOp.EQ, Attr(Var(self.var), attr), expr)
+        fn = compiled(pred)
+        env: dict = {}
+        out = []
+        for row in source.rows if hasattr(source, "rows") else source:
+            env[self.var] = row
+            if fn(env, tables):
+                out.append(row)
+        return out
+
     def describe(self):
-        return f"Scan {self.table} AS {self.var}"
+        text = f"Scan {self.table} AS {self.var}"
+        if self.probe is None:
+            return text
+        from repro.lang.pretty import pretty
+
+        attr, expr = self.probe
+        return f"{text} ON {attr} = {pretty(expr)}"
 
 
 @dataclass
@@ -335,13 +400,15 @@ class PJoin(PhysicalOp):
     cache_bytes: int = 0
     est_rows: float = 0.0
 
-    def _reusable(self, kind, tables, thunk):
+    def _reusable(self, kind, tables, thunk, patch=None):
         """Fetch the build-side artifact from the cache, or make and store it.
 
         Only joins the compiler marked cacheable (``cache_source`` /
         ``group_source``) over a versioned table participate; everything
         else just runs *thunk*. When the cache answers, the right child is
-        never executed.
+        never executed. On a miss, ``patch(artifact, rows)`` — when given —
+        updates the artifact of the table's previous version for the rows
+        written since, if the table can still name them.
         """
         fingerprint = self.group_source if kind.endswith("groups") else self.cache_source
         if fingerprint is None:
@@ -360,7 +427,16 @@ class PJoin(PhysicalOp):
             self.cache_bytes = BUILD_CACHE.entry_bytes(key) or 0
             return artifact
         self.cache_misses += 1
-        artifact = thunk()
+        artifact = None
+        previous = BUILD_CACHE.previous(key) if patch is not None else None
+        if previous is not None:
+            written = source.changed_rows(previous[0])
+            if written is not None:
+                artifact = patch(previous[1], written)
+                if source.version != key[2]:
+                    artifact = None  # a write landed meanwhile: rebuild from one snapshot
+        if artifact is None:
+            artifact = thunk()
         # Re-derive the key before publishing: if the table mutated while
         # the build ran, the artifact may mix row snapshots across versions
         # and must not be stored under the version observed at lookup time.
@@ -374,7 +450,12 @@ class PJoin(PhysicalOp):
     def run_batches(self, tables, batch_size=DEFAULT_BATCH_SIZE):
         if self.algorithm == "index_nested_loop":
             if self.mode == "nest" and self.group_source is not None:
-                groups = self._reusable("inl-groups", tables, lambda: self._inl_groups(tables))
+                groups = self._reusable(
+                    "inl-groups",
+                    tables,
+                    lambda: self._inl_groups(tables),
+                    lambda old, written: self._inl_groups(tables, old, written),
+                )
                 yield from self._batch_grouped(tables, groups, batch_size)
                 return
             table_name, var, attrs = self.index_target
@@ -812,16 +893,29 @@ class PJoin(PhysicalOp):
                 group.add(fn(rt.as_env(), tables))
         return {k: frozenset(v) for k, v in acc.items()}
 
-    def _inl_groups(self, tables):
-        """Right-key tuple → the nest group, from the persistent table index."""
+    def _inl_groups(self, tables, old=None, written=()):
+        """Right-key tuple → the nest group, from the persistent table index.
+
+        Given the group table *old* of an earlier version and the rows
+        *written* since, only the groups of the keys those rows carry are
+        recomputed: a small write re-groups a few keys, not the table.
+        """
         from repro.lang.compile import compiled
 
         table_name, var, attrs = self.index_target
         index = tables[table_name].hash_index(attrs)
         fn = compiled(self.func)
         env: dict = {}
-        out: dict[tuple, frozenset] = {}
-        for k, rows in index.items():
+        if old is None:
+            out: dict[tuple, frozenset] = {}
+            buckets = index.items()
+        else:
+            out = dict(old)
+            keys = {index_key(row, attrs) for row in written}
+            for k in keys - index.keys():
+                out.pop(k, None)
+            buckets = [(k, index[k]) for k in keys & index.keys()]
+        for k, rows in buckets:
             group = set()
             for row in rows:
                 env[var] = row
@@ -1005,6 +1099,10 @@ def _compile(plan: Plan, stats: StatsCatalog, force: str | None) -> PhysicalOp:
     if isinstance(plan, Scan):
         return PScan(plan.table, plan.var, est_rows=est)
     if isinstance(plan, Select):
+        probed = _probe_scan(plan, stats)
+        if probed is not None:
+            scan, rest = probed
+            return scan if rest is None else PFilter(scan, rest, est_rows=est)
         return PFilter(_compile(plan.child, stats, force), plan.pred, est_rows=est)
     if isinstance(plan, Map):
         return PMap(_compile(plan.child, stats, force), plan.expr, plan.var, est_rows=est)
@@ -1075,12 +1173,46 @@ def _compile(plan: Plan, stats: StatsCatalog, force: str | None) -> PhysicalOp:
     )
 
 
+def _probe_scan(plan: Select, stats: StatsCatalog) -> tuple[PScan, Expr | None] | None:
+    """A point-probe scan for ``Select(Scan v, ... ∧ v.attr = e ∧ ...)``.
+
+    ``e`` must be a constant or a parameter (either side of the ``=``) and
+    the table's row type must declare ``attr``. Returns the probing scan
+    and the remaining conjuncts (None when there are none), or None.
+    """
+    scan = plan.child
+    if not isinstance(scan, Scan):
+        return None
+    row_type = getattr(stats.catalog.get(scan.table), "row_type", None)
+    if not isinstance(row_type, TupleType):
+        return None
+    items = list(conjuncts(plan.pred))
+    for i, conj in enumerate(items):
+        if not isinstance(conj, Cmp) or conj.op != CmpOp.EQ:
+            continue
+        for side, value in ((conj.left, conj.right), (conj.right, conj.left)):
+            if (
+                isinstance(side, Attr)
+                and side.base == Var(scan.var)
+                and side.label in row_type.fields
+                and isinstance(value, (Const, Param))
+            ):
+                est = estimate_rows(Select(scan, conj), stats)
+                probing = PScan(scan.table, scan.var, est_rows=est, probe=(side.label, value))
+                rest = items[:i] + items[i + 1 :]
+                return probing, make_and(rest) if rest else None
+    return None
+
+
 def _scan_fingerprint(right: Plan, spec: JoinSpec) -> tuple[str, str, tuple[str, ...]] | None:
     """(table, var, key fingerprint) when the right operand is a bare scan
     of a named table and every right key only references the scan variable
     — the build side is then a pure function of the table contents and the
     key expressions, independent of the rest of the catalog, and can be
-    shared across executions keyed by the table's (uid, version)."""
+    shared across executions keyed by the table's (uid, version).
+
+    A key mentioning a parameter is refused: ``free_vars`` does not see
+    one, yet its value — and so the build — changes with every binding."""
     from repro.lang.freevars import free_vars
     from repro.lang.pretty import pretty
 
@@ -1088,7 +1220,7 @@ def _scan_fingerprint(right: Plan, spec: JoinSpec) -> tuple[str, str, tuple[str,
         return None
     var = right.var
     for key in spec.right_keys:
-        if free_vars(key) != {var}:
+        if free_vars(key) != {var} or param_names(key):
             return None
     return right.table, var, tuple(pretty(k) for k in spec.right_keys)
 
@@ -1113,7 +1245,8 @@ def _group_source(
     Requires a trivial residual and a function over right-operand bindings
     only: the group of any probing tuple is then determined by its key
     alone, so key → frozenset(func values) is a pure function of the right
-    table and each probe is a single dict lookup.
+    table and each probe is a single dict lookup. A function mentioning a
+    parameter is not: its groups change with the binding.
     """
     from repro.lang.freevars import free_vars
     from repro.lang.pretty import pretty
@@ -1122,7 +1255,7 @@ def _group_source(
         return None
     if not spec.residual_trivial:
         return None
-    if not free_vars(func) <= set(plan.right.bindings()):
+    if not free_vars(func) <= set(plan.right.bindings()) or param_names(func):
         return None
     fingerprint = _scan_fingerprint(plan.right, spec)
     if fingerprint is None:
@@ -1134,8 +1267,6 @@ def _group_source(
 def _index_target(right: Plan, spec: JoinSpec) -> tuple[str, str, tuple[str, ...]] | None:
     """(table, var, attrs) if the right operand is a bare scan whose join
     keys are all direct attributes of the scan variable."""
-    from repro.lang.ast import Attr
-
     if not isinstance(right, Scan) or not spec.has_equi_keys:
         return None
     attrs: list[str] = []

@@ -27,12 +27,59 @@ __all__ = ["Table", "Catalog"]
 #: tables sharing a name can never alias each other's cached artifacts.
 _TABLE_UIDS = itertools.count(1)
 
+#: A mutation that adds or removes at most this many rows patches the built
+#: hash indexes and is logged for :meth:`Table.changed_rows`; a larger one
+#: drops both for the next query to rebuild.
+_PATCH_ROWS = 64
+#: How many small writes :meth:`Table.changed_rows` can look back over.
+_CHANGE_LOG = 8
+
+
+def index_key(row: Tup, attrs: tuple[str, ...]) -> tuple:
+    """*row*'s key in the hash index on *attrs* (None for a missing attr)."""
+    if len(attrs) == 1:
+        return (row.get(attrs[0]),)
+    return tuple(row.get(a) for a in attrs)
+
+
+def _patched_index(
+    index: dict[tuple, list[Tup]], attrs: tuple[str, ...], added, removed
+) -> dict[tuple, list[Tup]] | None:
+    """*index* without the *removed* row objects and with *added* appended.
+
+    Buckets keep table order, so the result equals a rebuild over the new
+    rows — unless a removed object also stays in the table (the same
+    object stored twice, one copy deleted): identity cannot tell the two
+    apart, the count of dropped entries shows it, and None says rebuild.
+    """
+    out = dict(index)
+    if removed:
+        gone: dict[tuple, set[int]] = {}
+        for row in removed:
+            gone.setdefault(index_key(row, attrs), set()).add(id(row))
+        dropped = 0
+        for key, ids in gone.items():
+            bucket = out.get(key, ())
+            left = [row for row in bucket if id(row) not in ids]
+            dropped += len(bucket) - len(left)
+            if left:
+                out[key] = left
+            else:
+                out.pop(key, None)
+        if dropped != len(removed):
+            return None
+    for row in added:
+        key = index_key(row, attrs)
+        out[key] = out.get(key, []) + [row]
+    return out
+
 
 class Table:
     """A named, typed, ordered collection of row tuples.
 
     Tables are *versioned*: every mutation bumps :attr:`version` and drops
-    the derived artifacts (the set view and hash indexes). Caches keyed by
+    the derived artifacts (the set view and hash indexes; a small insert or
+    delete patches the built indexes instead). Caches keyed by
     ``(uid, version)`` — prepared-plan compilations, join build sides —
     therefore invalidate by construction, without registration hooks.
 
@@ -74,6 +121,9 @@ class Table:
         self.version = 1
         self._as_set: frozenset[Tup] | None = None
         self._indexes: dict[tuple[str, ...], dict[tuple, list[Tup]]] = {}
+        #: ((version, rows inserted or deleted to reach it), ...) of the
+        #: latest small writes, oldest first; any other write empties it.
+        self._changes: tuple[tuple[int, tuple[Tup, ...]], ...] = ()
         self._lock = threading.RLock()
 
     def _infer_row_type(self) -> TupleType:
@@ -144,8 +194,10 @@ class Table:
     def hash_index(self, attrs: tuple[str, ...]) -> dict[tuple, list[Tup]]:
         """A persistent hash index on *attrs* (built on first use, cached).
 
-        Mutations invalidate the index (see :meth:`bump_version`); once
-        built it is shared by every query against the current version —
+        Mutations invalidate the index (see :meth:`bump_version`), except
+        that a small insert or delete carries it over patched (see
+        :meth:`_publish`); once built it is shared by every query against
+        the current version —
         this is what makes the index-nested-loop join cheaper than a
         per-query hash build.
         """
@@ -155,8 +207,7 @@ class Table:
         rows = self.rows
         index: dict[tuple, list[Tup]] = {}
         for row in rows:
-            key = tuple(row.get(a) for a in attrs)
-            index.setdefault(key, []).append(row)
+            index.setdefault(index_key(row, attrs), []).append(row)
         with self._lock:
             # Publish only if no mutation swapped the row list meanwhile;
             # the builder still uses its (snapshot-consistent) index.
@@ -168,23 +219,58 @@ class Table:
     def bump_version(self) -> int:
         """Advance the version and drop derived artifacts (set view, indexes).
 
-        Every mutating method funnels through :meth:`_publish`, which calls
-        this under the table lock; external caches compare versions instead
+        Every mutating method funnels through :meth:`_publish`, which
+        advances the same way under the table lock (keeping the indexes it
+        patched); external caches compare versions instead
         of registering invalidation callbacks. The derived artifacts are
         dropped *before* the version advances, so a lock-free reader that
         sees the new version can never pick up a stale index.
         """
+        return self._advance({}, ())
+
+    def _advance(self, indexes: dict, changes: tuple) -> int:
+        """Install the derived *indexes* and the write log, then advance the version."""
         with self._lock:
             self._as_set = None
-            self._indexes.clear()
+            self._indexes = indexes
+            self._changes = changes
             self.version += 1
             return self.version
 
-    def _publish(self, rows: list[Tup]) -> int:
-        """Atomically install a fully built row list and advance the version."""
+    def _publish(self, rows: list[Tup], added: list[Tup] = (), removed: list[Tup] = ()) -> int:
+        """Atomically install a fully built row list and advance the version.
+
+        *added*/*removed* name the rows that differ from the current list.
+        When both are few, every built hash index is carried over to the new
+        version patched for just those rows — a fresh dict whose touched
+        buckets are fresh lists, so a reader holding the old index never
+        sees it change — instead of being dropped and rebuilt by the next
+        query, and the rows are logged for :meth:`changed_rows`: a small
+        write then costs its readers little.
+        """
         with self._lock:
+            indexes, changes = {}, ()
+            if 0 < len(added) + len(removed) <= _PATCH_ROWS:
+                for attrs, index in self._indexes.items():
+                    patched = _patched_index(index, attrs, added, removed)
+                    if patched is not None:
+                        indexes[attrs] = patched
+                written = (self.version + 1, tuple(added) + tuple(removed))
+                changes = (self._changes + (written,))[-_CHANGE_LOG:]
             self.rows = rows
-            return self.bump_version()
+            return self._advance(indexes, changes)
+
+    def changed_rows(self, since: int) -> list[Tup] | None:
+        """The rows inserted or deleted after version *since*, or None.
+
+        None when a write since then was not a small insert or delete, or
+        lies further back than the log reaches: what was built at *since*
+        must then be rebuilt rather than patched.
+        """
+        changes = self._changes
+        if not changes or changes[0][0] > since + 1:
+            return None
+        return [row for version, rows in changes if version > since for row in rows]
 
     def _check_rows(self, rows: list[Tup], validate: bool) -> None:
         for row in rows:
@@ -208,15 +294,35 @@ class Table:
             combined = self.rows + fresh
             if self.key is not None:
                 self._check_key(self.key, combined)
-            return self._publish(combined)
+            return self._publish(combined, added=fresh)
 
     def delete(self, pred: Callable[[Tup], bool]) -> int:
         """Remove rows satisfying *pred*; bumps the version iff any matched."""
         with self._lock:
-            kept = [row for row in self.rows if not pred(row)]
-            if len(kept) == len(self.rows):
+            rows = self.rows
+            if not self._indexes:
+                kept = [row for row in rows if not pred(row)]
+                if len(kept) == len(rows):
+                    return self.version
+                return self._publish(kept)
+            # With indexes to carry over, find the positions that go: the
+            # scans for False run in C, so a few deletions from a large
+            # table cost little beyond the predicate calls.
+            keep = [not pred(row) for row in rows]
+            gone = []
+            try:
+                while len(gone) <= _PATCH_ROWS:
+                    gone.append(keep.index(False, gone[-1] + 1 if gone else 0))
+            except ValueError:
+                pass
+            if not gone:
                 return self.version
-            return self._publish(kept)
+            if len(gone) > _PATCH_ROWS:
+                return self._publish(list(itertools.compress(rows, keep)))
+            kept = rows.copy()
+            for i in reversed(gone):
+                del kept[i]
+            return self._publish(kept, removed=[rows[i] for i in gone])
 
     def replace_rows(self, rows: Iterable[Tup], validate: bool = False) -> int:
         """Swap in a whole new row list and bump the version."""
@@ -254,6 +360,7 @@ class Table:
         self.uid = next(_TABLE_UIDS)
         self._as_set = None
         self._indexes = {}
+        self._changes = ()
         self._lock = threading.RLock()
 
     def cardinality(self) -> int:
@@ -280,6 +387,8 @@ class Catalog(Mapping[str, Table]):
         self.schema = schema
         self._tables: dict[str, Table] = {}
         self._structure_version = 0
+        #: (structure version, fingerprint) of the last schema_fingerprint().
+        self._fingerprint: tuple[int, tuple] | None = None
 
     # -- versioning ----------------------------------------------------------
     @property
@@ -302,8 +411,21 @@ class Catalog(Mapping[str, Table]):
         the same types, so a prepared plan keyed by (query, fingerprint) is
         reusable across them; the data *contents* are deliberately not part
         of it (that is what :attr:`version` tracks).
+
+        Memoised per structural version: the plan cache asks on every
+        lookup, and only :meth:`add`/:meth:`drop` change the shape. The
+        version is read before the tables, so a racing add/drop can only
+        leave a memo that the next call already sees as stale.
         """
-        return tuple(sorted((name, repr(t.row_type)) for name, t in self._tables.items()))
+        version = self._structure_version
+        memo = self._fingerprint
+        if memo is not None and memo[0] == version:
+            return memo[1]
+        fingerprint = tuple(
+            sorted((name, repr(t.row_type)) for name, t in list(self._tables.items()))
+        )
+        self._fingerprint = (version, fingerprint)
+        return fingerprint
 
     # -- construction -------------------------------------------------------
     def add(self, table: Table) -> Table:

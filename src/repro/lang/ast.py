@@ -27,6 +27,7 @@ from repro.model.values import is_value, make_value, value_repr
 __all__ = [
     "Expr",
     "Const",
+    "Param",
     "Var",
     "Attr",
     "TupleExpr",
@@ -67,6 +68,7 @@ __all__ = [
     "is_false_const",
     "fresh_name",
     "contains_sfw",
+    "param_names",
 ]
 
 
@@ -159,6 +161,18 @@ class Const(Expr):
 
     def __repr__(self) -> str:
         return f"Const({value_repr(self.value)})"
+
+
+@dataclass(frozen=True)
+class Param(Expr):
+    """A query parameter ``$name``: a closed scalar bound at execution.
+
+    Every analysis treats it as an unknown constant — it has no free
+    variables and matches no literal pattern — so one plan serves every
+    binding; :mod:`repro.lang.params` supplies the value per execution.
+    """
+
+    name: str
 
 
 @dataclass(frozen=True)
@@ -548,3 +562,8 @@ def negate(expr: Expr) -> Expr:
 def contains_sfw(expr: Expr) -> bool:
     """True iff a SELECT-FROM-WHERE block occurs anywhere in *expr*."""
     return any(isinstance(e, SFW) for e in walk(expr))
+
+
+def param_names(expr: Expr) -> tuple[str, ...]:
+    """The distinct parameter names occurring in *expr*, sorted."""
+    return tuple(sorted({e.name for e in walk(expr) if isinstance(e, Param)}))

@@ -40,6 +40,7 @@ from repro.lang.ast import (
     Neg,
     Not,
     Or,
+    Param,
     PayloadOf,
     Quant,
     QuantKind,
@@ -52,6 +53,7 @@ from repro.lang.ast import (
     Var,
     VariantExpr,
 )
+from repro.lang.params import param_value
 from repro.model.compare import compare, sort_key
 from repro.model.values import Null, Tup, Variant
 
@@ -244,6 +246,9 @@ def compile_expr(e: Expr) -> CompiledExpr:
                 raise ExecutionError(f"PAYLOAD of non-variant {v!r}")
             return v.value
         return payload_fn
+    if isinstance(e, Param):
+        name = e.name
+        return lambda env, tables: param_value(name)
     raise ExecutionError(f"cannot compile {type(e).__name__}")
 
 

@@ -33,6 +33,7 @@ from repro.lang.ast import (
     Neg,
     Not,
     Or,
+    Param,
     PayloadOf,
     Quant,
     QuantKind,
@@ -45,6 +46,7 @@ from repro.lang.ast import (
     Var,
     VariantExpr,
 )
+from repro.lang.params import param_value
 from repro.model.compare import compare, sort_key
 from repro.model.values import Null, Tup, Variant
 
@@ -193,6 +195,8 @@ def _eval(e: Expr, env: Env, tables: Mapping[str, Any] | None) -> Any:
         if not isinstance(v, Variant):
             raise ExecutionError(f"PAYLOAD of non-variant {v!r}")
         return v.value
+    if isinstance(e, Param):  # rare: last, so other nodes pay no extra test
+        return param_value(e.name)
     raise ExecutionError(f"cannot evaluate {type(e).__name__}")
 
 

@@ -1,7 +1,9 @@
 """Tokenizer for the TM-like concrete syntax.
 
 Keywords are case-insensitive; identifiers are case-sensitive. String
-literals use single or double quotes with backslash escapes.
+literals use single or double quotes with backslash escapes. ``$name``
+is a query parameter: one token, so a ``$`` inside a string literal is
+plain text.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ class TokenKind(enum.Enum):
     INT = "int"
     FLOAT = "float"
     STRING = "string"
+    PARAM = "param"
     SYMBOL = "symbol"
     EOF = "eof"
 
@@ -123,6 +126,15 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         column = i - line_start + 1
+        if ch == "$":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            if j == i + 1 or text[i + 1].isdigit():
+                raise LexError("expected a parameter name after '$'", i, line, column)
+            tokens.append(Token(TokenKind.PARAM, text[i + 1 : j], i, line, column))
+            i = j
+            continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):

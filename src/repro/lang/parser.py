@@ -13,7 +13,7 @@ Grammar (precedence from loosest to tightest)::
     multiplic   := unary ((* | / | % | INTERSECT) unary)*
     unary       := - unary | postfix
     postfix     := primary (. IDENT)*
-    primary     := literal | IDENT | tuple | set | list | ( expr )
+    primary     := literal | $IDENT | IDENT | tuple | set | list | ( expr )
                  | sfw | quantifier | aggregate | UNNEST ( expr )
 
     sfw         := SELECT expr FROM expr IDENT [WHERE expr]
@@ -55,6 +55,7 @@ from repro.lang.ast import (
     ListExpr,
     Neg,
     Not,
+    Param,
     Quant,
     QuantKind,
     SetExpr,
@@ -252,6 +253,9 @@ class _Parser:
         if tok.kind == TokenKind.STRING:
             self.advance()
             return Const(tok.text)
+        if tok.kind == TokenKind.PARAM:
+            self.advance()
+            return Param(tok.text)
         if tok.is_keyword("true"):
             self.advance()
             return Const(True)

@@ -20,6 +20,7 @@ from repro.lang.ast import (
     Neg,
     Not,
     Or,
+    Param,
     PayloadOf,
     Quant,
     QuantKind,
@@ -135,6 +136,8 @@ def _render(e: Expr) -> str:
         return f"TAG({_render(e.operand)})"
     if isinstance(e, PayloadOf):
         return f"PAYLOAD({_render(e.operand)})"
+    if isinstance(e, Param):
+        return f"${e.name}"
     raise TypeError(f"cannot render {type(e).__name__}")
 
 

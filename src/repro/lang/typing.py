@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.errors import TypeCheckError
+from repro.errors import NameError_, TypeCheckError
 from repro.lang.ast import (
     SFW,
     Agg,
@@ -28,6 +28,7 @@ from repro.lang.ast import (
     Neg,
     Not,
     Or,
+    Param,
     PayloadOf,
     Quant,
     SetExpr,
@@ -63,16 +64,18 @@ class TypeEnv:
     """Immutable chain of variable typings plus a table typing.
 
     ``tables`` maps extension names to *row* types; a table reference has
-    type ``SetType(row_type)``.
+    type ``SetType(row_type)``. ``params`` maps parameter names to the
+    types of their bound values.
     """
 
-    __slots__ = ("_bindings", "_parent", "tables")
+    __slots__ = ("_bindings", "_parent", "tables", "params")
 
     def __init__(
         self,
         bindings: Mapping[str, Type] | None = None,
         parent: "TypeEnv | None" = None,
         tables: Mapping[str, Type] | None = None,
+        params: Mapping[str, Type] | None = None,
     ):
         self._bindings = dict(bindings) if bindings else {}
         self._parent = parent
@@ -82,6 +85,12 @@ class TypeEnv:
             self.tables = parent.tables
         else:
             self.tables = {}
+        if params is not None:
+            self.params = dict(params)
+        elif parent is not None:
+            self.params = parent.params
+        else:
+            self.params = {}
 
     def bind(self, name: str, type_: Type) -> "TypeEnv":
         return TypeEnv({name: type_}, self)
@@ -95,8 +104,10 @@ class TypeEnv:
         return None
 
     @staticmethod
-    def with_tables(tables: Mapping[str, Type]) -> "TypeEnv":
-        return TypeEnv(tables=tables)
+    def with_tables(
+        tables: Mapping[str, Type], params: Mapping[str, Type] | None = None
+    ) -> "TypeEnv":
+        return TypeEnv(tables=tables, params=params)
 
 
 def type_of(expr: Expr, env: TypeEnv | None = None) -> Type:
@@ -210,6 +221,11 @@ def _type(e: Expr, env: TypeEnv) -> Type:
         if not isinstance(inner, SetType):
             raise TypeCheckError(f"UNNEST requires a set of sets, got {t!r}")
         return SetType(inner.element)
+    if isinstance(e, Param):
+        bound = env.params.get(e.name)
+        if bound is None:
+            raise NameError_(f"unbound query parameter ${e.name}")
+        return bound
     raise TypeCheckError(f"cannot type {type(e).__name__}")
 
 

@@ -38,7 +38,7 @@ from repro.server.metrics import (
     percentile,
 )
 from repro.server.registry import ActiveQuery, ActiveQueryRegistry
-from repro.server.request import QueryRequest, QueryResponse, bind_params
+from repro.server.request import QueryRequest, QueryResponse
 from repro.server.service import CatalogVersionRace, PendingQuery, QueryService
 from repro.server.slowlog import SlowQueryLog
 
@@ -50,7 +50,6 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "CatalogVersionRace",
-    "bind_params",
     "MetricsRegistry",
     "Counter",
     "LabeledCounter",

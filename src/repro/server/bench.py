@@ -54,22 +54,30 @@ def run_serve_bench(
     clear_build_cache()
     catalog = mixed_catalog(seed=seed, n_left=n_left, n_right=n_right, n_chain=n_chain)
     batch = make_requests(requests, seed=seed, n_left=n_left, timeout=timeout)
-    texts = [r.bound_query() for r in batch]
-    distinct = sorted(set(texts))
+    # A request's identity is its text plus its parameter values: one
+    # parameterised text is one plan, each binding one answer.
+    keys = [(r.query, tuple(sorted((r.params or {}).items()))) for r in batch]
+    distinct = sorted(set(keys))
 
-    oracle: dict[str, frozenset] = {}
+    oracle: dict[tuple, frozenset] = {}
     if check_oracle:
-        for text in distinct:
-            oracle[text] = run_query(text, catalog, engine="interpret").value
+        for text, params in distinct:
+            oracle[text, params] = run_query(
+                text, catalog, engine="interpret", params=dict(params)
+            ).value
+
+    def run(text: str, params: tuple) -> frozenset:
+        bound = dict(params)
+        return prepared(text, catalog, params=bound).execute(catalog, bound)
 
     # Warm the plan and build caches once so both contenders start from
     # the same PR-1 steady state and the comparison isolates the service
     # layer (scheduling + result reuse + coalescing).
-    for text in distinct:
-        prepared(text, catalog).execute(catalog)
+    for key in distinct:
+        run(*key)
 
     start = time.perf_counter()
-    sequential_values = [prepared(text, catalog).execute(catalog) for text in texts]
+    sequential_values = [run(*key) for key in keys]
     sequential_seconds = time.perf_counter() - start
 
     # Tracing overhead: the same warm sequential loop with an ambient
@@ -77,9 +85,9 @@ def run_serve_bench(
     # tracing on. With caches warm the emitters mostly never fire, so this
     # measures the fixed per-request cost (trace object + scope install).
     start = time.perf_counter()
-    for text in texts:
-        with trace_scope(QueryTrace(query=text)):
-            prepared(text, catalog).execute(catalog)
+    for key in keys:
+        with trace_scope(QueryTrace(query=key[0])):
+            run(*key)
     traced_seconds = time.perf_counter() - start
 
     service = QueryService(
@@ -99,10 +107,10 @@ def run_serve_bench(
     for response in responses:
         outcomes[response.outcome] = outcomes.get(response.outcome, 0) + 1
     mismatches = 0
-    for text, value, response in zip(texts, sequential_values, responses):
+    for key, value, response in zip(keys, sequential_values, responses):
         if not response.ok:
             continue
-        expected = oracle.get(text, value)
+        expected = oracle.get(key, value)
         if response.value != expected:
             mismatches += 1
     lost = len(batch) - len(responses)

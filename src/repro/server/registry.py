@@ -2,7 +2,7 @@
 
 Every request a :class:`~repro.server.service.QueryService` admits is
 registered here for the duration of its execution as an
-:class:`ActiveQuery` — query id, bound text, parameters, start time,
+:class:`ActiveQuery` — query id, query text, parameters, start time,
 the operator that last reported progress, and a rows
 processed / estimated pair whose quotient is the *progress fraction*.
 

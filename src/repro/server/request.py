@@ -1,7 +1,9 @@
-"""Request and response shapes of the query service, and parameter binding.
+"""Request and response shapes of the query service.
 
-A :class:`QueryRequest` carries the query text, optional named parameters
-(``$name`` placeholders in the text), and an optional per-request timeout.
+A :class:`QueryRequest` carries the query text, optional values for its
+``$name`` parameters, and an optional per-request timeout. Parameters are
+values of the language (:mod:`repro.lang.params`), never spliced into the
+text: one parameterised text is one plan for all its bindings.
 A :class:`QueryResponse` reports a structured outcome plus timing and
 cache-attribution metadata — enough for a client to know not just the
 answer but how the service produced it (fresh execution, result-cache hit,
@@ -12,59 +14,12 @@ version it is valid.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.errors import ParseError
-
-__all__ = ["QueryRequest", "QueryResponse", "bind_params", "render_literal"]
+__all__ = ["QueryRequest", "QueryResponse"]
 
 _REQUEST_IDS = itertools.count(1)
-
-_PARAM_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
-
-
-def render_literal(value: object) -> str:
-    """Render a Python value as a query-language literal.
-
-    Supports the scalar literal forms of the language: booleans, integers,
-    floats, and strings (single-quoted, with backslash escapes).
-    """
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace("'", "\\'")
-        return f"'{escaped}'"
-    raise ParseError(f"cannot bind parameter value of type {type(value).__name__}")
-
-
-def bind_params(text: str, params: Mapping[str, object] | None) -> str:
-    """Substitute ``$name`` placeholders in *text* with literal renderings.
-
-    Binding is textual: the bound query is then prepared through the plan
-    cache like any other text, so repeated calls with the same parameter
-    values share one prepared plan (distinct values prepare distinct
-    plans — value-agnostic parameterized plans are future work; see
-    docs/serving.md). An unbound placeholder raises; unused parameters are
-    ignored. Placeholders are recognized anywhere in the text, including
-    inside string literals — avoid ``$`` in literals of parameterized
-    queries.
-    """
-    if not params and "$" not in text:
-        return text
-
-    def replace(match: re.Match) -> str:
-        name = match.group(1)
-        if params is None or name not in params:
-            raise ParseError(f"unbound query parameter ${name}")
-        return render_literal(params[name])
-
-    return _PARAM_RE.sub(replace, text)
 
 
 @dataclass
@@ -77,10 +32,6 @@ class QueryRequest:
     #: service's default_timeout (which may itself be None: no deadline).
     timeout: float | None = None
     request_id: str = field(default_factory=lambda: f"q{next(_REQUEST_IDS):06d}")
-
-    def bound_query(self) -> str:
-        """The query text with all ``$name`` parameters substituted."""
-        return bind_params(self.query, self.params)
 
 
 @dataclass

@@ -10,9 +10,11 @@ multi-threaded serving endpoint. Requests flow through:
 2. **Scheduling** — a fixed pool of worker threads drains the queue in
    FIFO order. All workers share the process-wide prepared-plan cache,
    the build-side cache, and this service's result cache.
-3. **Execution** — the worker binds parameters, prepares the query (plan
-   cache), and runs it under a :class:`~repro.engine.cancel.CancelToken`
-   carrying the request deadline; physical operators poll the token at
+3. **Execution** — the worker prepares the query text (plan cache; one
+   plan per parameterised text), binds the parameter values for this run
+   (:mod:`repro.lang.params`), and runs it under a
+   :class:`~repro.engine.cancel.CancelToken` carrying the request
+   deadline; physical operators poll the token at
    iteration boundaries, so a timed-out request stops mid-plan instead of
    running to completion.
 4. **Consistency** — the catalog's data version is read before and after
@@ -21,8 +23,8 @@ multi-threaded serving endpoint. Requests flow through:
    ``ok`` responses are therefore *version-stable*: the value is the
    answer at one catalog version, never a blend of two.
 5. **Result reuse** — version-stable results are memoized in an LRU keyed
-   by (bound query text, catalog version), and concurrent identical
-   requests *coalesce*: one leader executes, followers wait on its
+   by (query text, parameter values, catalog version), and concurrent
+   identical requests *coalesce*: one leader executes, followers wait on its
    result. Under repetitive traffic this, not thread parallelism, is
    where the throughput multiple comes from (the GIL serializes the
    Python execution itself; see docs/serving.md).
@@ -58,6 +60,8 @@ from repro.engine.cachereg import CACHE_REGISTRY, caches_snapshot, register_cach
 from repro.engine.cancel import CancelToken, cancel_scope
 from repro.engine.stats import estimated_work
 from repro.errors import CancelledError, RejectedError, ReproError
+from repro.lang.params import bind_values, param_scope
+from repro.model.types import type_of_value
 from repro.server.registry import ActiveQueryRegistry
 from repro.server.request import QueryRequest, QueryResponse
 from repro.server.slowlog import SlowQueryLog
@@ -624,14 +628,14 @@ class QueryService:
 
     def _execute_with_retry(self, request: QueryRequest, token: CancelToken):
         """Run until version-stable, retrying races with capped backoff."""
-        text = request.bound_query()
+        params = bind_values(request.params)
         attempts = 0
         while True:
             attempts += 1
             token.check()
             try:
                 value, version, source, pq, misests, exec_mode = (
-                    self._execute_shared(text, token, request)
+                    self._execute_shared(request.query, params, token, request)
                 )
                 return value, version, source, attempts, pq, misests, exec_mode
             except CatalogVersionRace:
@@ -654,21 +658,23 @@ class QueryService:
                         "coalesced leader was cancelled on every attempt"
                     ) from None
 
-    def _execute_shared(self, text: str, token: CancelToken, request=None):
+    def _execute_shared(self, text: str, params: dict, token: CancelToken, request=None):
         """One attempt: result cache → coalesce → leader execution.
 
-        The result cache is keyed by (bound text, catalog version) and
-        consulted *before* preparation, so a hit skips even the parse —
-        repeated traffic costs one dict probe per request.
+        The result cache is keyed by (query text, parameter values,
+        catalog version) and consulted *before* preparation, so a hit
+        skips even the plan-cache lookup — repeated traffic costs one dict
+        probe per request. A miss prepares the parameterised text (one
+        plan for every binding) and executes it with *params* bound.
         """
         version = getattr(self.catalog, "version", None)
-        key = (text, version)
+        key = (text, _params_key(params), version)
         cached = self._results.get(key)
         if cached is not None:
             value, exec_mode = cached
             self.metrics.counter("result_hits").inc()
             return value, version, "hit", None, (), exec_mode
-        pq = prepared(text, self.catalog, typecheck=self.typecheck)
+        pq = prepared(text, self.catalog, typecheck=self.typecheck, params=params)
         self._seed_estimate(token, pq)
         with self._inflight_lock:
             entry = self._inflight.get(key)
@@ -689,7 +695,8 @@ class QueryService:
             self.metrics.counter("result_coalesced").inc()
             return entry.value, version, "coalesced", pq, (), entry.exec_mode
         try:
-            value, misestimates, exec_mode = self._execute_leader(pq, version)
+            with param_scope(params):
+                value, misestimates, exec_mode = self._execute_leader(pq, version)
         except BaseException as exc:
             entry.error = exc
             raise
@@ -804,13 +811,27 @@ def _slow_entry(request: QueryRequest, outcome: str, **extra) -> dict:
     return entry
 
 
+def _params_key(params: dict) -> tuple:
+    """The bound values as a hashable key part, sorted by name.
+
+    Each value is paired with its model type: ``1``, ``1.0`` and ``True``
+    are equal and hash alike, yet type-check differently.
+    """
+    return tuple(
+        sorted((name, type_of_value(value), value) for name, value in params.items())
+    )
+
+
 def _result_key_identity(key) -> dict:
-    """Top-entry identity for a result-cache key: bound text + version."""
-    text, version = key
-    return {
+    """Top-entry identity for a result-cache key: text, params, version."""
+    text, params, version = key
+    out = {
         "query": text if len(text) <= 120 else text[:119] + "…",
         "catalog_version": version,
     }
+    if params:
+        out["params"] = {name: repr(value) for name, _type, value in params}
+    return out
 
 
 def _cache_footprint(results: LRUCache) -> dict:

@@ -4,8 +4,8 @@ Builds a single catalog holding all three example universes — the
 relational R/S pair (COUNT bug), the X/Y/Z chain (SUBSETEQ bug and the
 Section 8 linear query), and the company EMP/DEPT extensions (Q1/Q2) — so
 one service instance can be hammered with every query shape the repo
-knows, plus a parameterized point-lookup exercising per-parameter plan
-entries. Everything is seeded and deterministic.
+knows, plus a parameterized point lookup that shares one plan across all
+its bindings. Everything is seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from repro.workloads import (
 
 __all__ = ["PARAM_LOOKUP", "MIXED_QUERIES", "mixed_catalog", "make_requests"]
 
-#: A parameterized point lookup on the R relation; each distinct $key is a
-#: distinct bound text (and hence plan-cache entry and result-cache key).
+#: A parameterized point lookup on the R relation: one plan-cache entry for
+#: every $key, one result-cache key per bound value.
 PARAM_LOOKUP = "SELECT r FROM R r WHERE r.a = $key"
 
 #: The unparameterized part of the mix: every worked example of the paper.

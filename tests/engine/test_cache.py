@@ -150,6 +150,37 @@ class TestBuildSideReuse:
         assert frozenset(execute(op, cat)) == naive
         assert join.cache_hits >= 1
 
+    def test_small_write_patches_the_index_group_table(self):
+        cat = catalog(nx=30, ny=40)
+        plan = NestJoin(
+            Scan("X", "x"), Scan("Y", "y"), parse("x.b = y.d"), parse("y.c"), "ys"
+        )
+        op = compile_plan(plan, cat, force_algorithm="index_nested_loop")
+        join = find_join(op)
+        _table, var, keys_fp = join.group_source
+        y = cat["Y"]
+        frozenset(execute(op, cat))
+        before = BUILD_CACHE.get(BuildSideCache.key("inl-groups", y, var, keys_fp))
+        y.insert([Tup(c=100, d=1)])
+        result = frozenset(execute(op, cat))
+        after = BUILD_CACHE.get(BuildSideCache.key("inl-groups", y, var, keys_fp))
+        assert after[(1,)] == before[(1,)] | {100}
+        assert after[(2,)] is before[(2,)]  # untouched groups are carried, not rebuilt
+        assert result == frozenset(run_physical(plan, cat, force_algorithm="hash"))
+
+    def test_previous_ignores_a_newer_entry(self):
+        cache = BuildSideCache(capacity=8)
+        t = Table("T", [Tup(a=1)])
+        old = BuildSideCache.key("inl-groups", t, "x", ("x.a",))
+        t.bump_version()
+        new = BuildSideCache.key("inl-groups", t, "x", ("x.a",))
+        cache.put(new, {"v": 2})
+        assert cache.previous(old) is None  # never patch backwards
+        assert cache.previous(new) is None  # nothing older is held
+        t.bump_version()
+        newer = BuildSideCache.key("inl-groups", t, "x", ("x.a",))
+        assert cache.previous(newer) == (new[2], {"v": 2})
+
     def test_eviction_under_tiny_capacity(self):
         set_build_cache_capacity(1)
         cat = catalog(nx=200, ny=50)

@@ -87,6 +87,73 @@ class TestVersioning:
         assert t.hash_index(("a",)) is not index
         assert (2,) in t.hash_index(("a",))
 
+    def test_small_writes_patch_built_indexes(self):
+        t = Table("T", [Tup(a=i % 3, b=i) for i in range(10)])
+        t.hash_index(("a",))
+        t.hash_index(("a", "b"))
+        t.insert([Tup(a=1, b=10), Tup(a=5, b=11)])
+        t.delete(lambda row: row.b in (0, 4, 11))
+        for attrs in (("a",), ("a", "b")):
+            assert attrs in t._indexes  # carried over, not left to the next reader
+            assert t.hash_index(attrs) == Table("U", t.rows).hash_index(attrs)
+
+    def test_a_patch_leaves_the_old_index_untouched(self):
+        t = Table("T", [Tup(a=1, b=0), Tup(a=1, b=1)])
+        old = t.hash_index(("a",))
+        snapshot = {key: list(bucket) for key, bucket in old.items()}
+        t.insert([Tup(a=1, b=2)])
+        t.delete(lambda row: row.b == 0)
+        assert old == snapshot  # a reader still holding it sees one version
+        assert t.hash_index(("a",)) == {(1,): [Tup(a=1, b=1), Tup(a=1, b=2)]}
+
+    def test_large_writes_drop_indexes(self):
+        t = Table("T", [Tup(a=i) for i in range(200)])
+        t.hash_index(("a",))
+        t.delete(lambda row: row.a < 100)
+        assert not t._indexes
+        assert t.hash_index(("a",)) == {(i,): [Tup(a=i)] for i in range(100, 200)}
+
+    def test_deleting_one_copy_of_a_twice_stored_row_rebuilds(self):
+        row = Tup(a=1)
+        t = Table("T", [row, Tup(a=2), row])
+        t.hash_index(("a",))
+        first = []
+        t.delete(lambda r: r is row and not first and not first.append(r))
+        assert t.rows == [Tup(a=2), row]
+        assert not t._indexes  # identity cannot say which copy went
+        assert t.hash_index(("a",)) == {(2,): [Tup(a=2)], (1,): [row]}
+
+    def test_changed_rows_names_the_small_writes_since_a_version(self):
+        t = Table("T", [Tup(a=1)])
+        start = t.version
+        new = Tup(a=2)
+        t.insert([new])
+        t.hash_index(("a",))  # a delete is logged only when indexes need it
+        t.delete(lambda row: row.a == 1)
+        assert t.changed_rows(start) == [new, Tup(a=1)]
+        assert t.changed_rows(start + 1) == [Tup(a=1)]
+        assert t.changed_rows(t.version) == []
+
+    def test_changed_rows_gives_up_past_other_writes(self):
+        t = Table("T", [Tup(a=1)])
+        start = t.version
+        t.insert([Tup(a=2)])
+        t.bump_version()  # a change it cannot name
+        assert t.changed_rows(start) is None
+        t.insert([Tup(a=3)])
+        assert t.changed_rows(start) is None
+        assert t.changed_rows(t.version - 1) == [Tup(a=3)]
+        t.replace_rows([Tup(a=4)])
+        assert t.changed_rows(t.version - 1) is None
+
+    def test_changed_rows_looks_back_a_bounded_number_of_writes(self):
+        t = Table("T", [])
+        start = t.version
+        for i in range(20):
+            t.insert([Tup(a=i)])
+        assert t.changed_rows(start) is None
+        assert len(t.changed_rows(t.version - 8)) == 8
+
     def test_catalog_version_sums_tables_and_structure(self):
         cat = Catalog()
         v0 = cat.version
@@ -112,6 +179,35 @@ class TestVersioning:
         assert cat.schema_fingerprint() == fp
         cat.add_rows("U", [Tup(b="x")])
         assert cat.schema_fingerprint() != fp
+
+    def test_schema_fingerprint_is_memoised_per_structure_version(self):
+        cat = Catalog()
+        cat.add_rows("T", [Tup(a=1)])
+        fp = cat.schema_fingerprint()
+        assert cat.schema_fingerprint() is fp  # no re-sort on a repeat call
+        cat["T"].insert([Tup(a=2)])
+        assert cat.schema_fingerprint() is fp
+
+    def test_add_invalidates_the_fingerprint_memo(self):
+        cat = Catalog()
+        cat.add_rows("T", [Tup(a=1)])
+        before = cat.schema_fingerprint()
+        cat.add_rows("U", [Tup(b="x")])
+        after = cat.schema_fingerprint()
+        assert after != before
+        assert [name for name, _type in after] == ["T", "U"]
+
+    def test_drop_invalidates_the_fingerprint_memo(self):
+        cat = Catalog()
+        cat.add_rows("T", [Tup(a=1)])
+        cat.add_rows("U", [Tup(b="x")])
+        before = cat.schema_fingerprint()
+        cat.drop("U")
+        after = cat.schema_fingerprint()
+        assert [name for name, _type in after] == ["T"]
+        # Re-adding a table of another shape under the old name is seen too.
+        cat.add_rows("U", [Tup(b=1)])
+        assert cat.schema_fingerprint() not in (before, after)
 
 
 class TestCatalog:

@@ -116,7 +116,8 @@ class TestMemoisation:
     def test_a_held_plan_keeps_hitting(self):
         catalog = Catalog()
         catalog.add_rows("R", [Tup(a=1, c=2)])
-        physical = prepared("SELECT r FROM R r WHERE r.a = 1", catalog).compile_for(catalog)
+        # (An equality with a constant would become a probe, not a filter.)
+        physical = prepared("SELECT r FROM R r WHERE r.a < 1", catalog).compile_for(catalog)
         (pred,) = [op.pred for op in _operators(physical) if hasattr(op, "pred")]
         fn = compiled(pred)
         gc.collect()

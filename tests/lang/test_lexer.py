@@ -24,6 +24,21 @@ class TestTokens:
             (TokenKind.IDENT, "Emp_2"),
         ]
 
+    def test_parameters(self):
+        assert kinds_and_texts("$key = $k_2") == [
+            (TokenKind.PARAM, "key"),
+            (TokenKind.SYMBOL, "="),
+            (TokenKind.PARAM, "k_2"),
+        ]
+
+    def test_dollar_inside_a_string_is_text(self):
+        assert kinds_and_texts("'pay $usd'") == [(TokenKind.STRING, "pay $usd")]
+
+    @pytest.mark.parametrize("src", ["$", "$ key", "$1"])
+    def test_dollar_without_a_name_is_an_error(self, src):
+        with pytest.raises(LexError, match="parameter name"):
+            tokenize(src)
+
     def test_numbers(self):
         toks = kinds_and_texts("1 42 3.14 1e3 2.5e-2")
         assert toks == [

@@ -44,6 +44,13 @@ class TestLiterals:
         assert parse("3.5") == Const(3.5)
         assert parse("'hi'") == Const("hi")
 
+    def test_parameters(self):
+        from repro.lang.ast import Param, param_names
+
+        assert parse("$key") == Param("key")
+        expr = parse("x.a = $k AND $j < x.b AND x.n = '$s' AND x.c = $k")
+        assert param_names(expr) == ("j", "k")
+
     def test_booleans_and_null(self):
         assert parse("TRUE") == Const(True)
         assert parse("false") == Const(False)

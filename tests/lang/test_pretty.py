@@ -45,6 +45,9 @@ ROUND_TRIP_SOURCES = [
     "<ok: 1>",
     "<err: x.a + 1>",
     "<ok: (x.a = 1)>",
+    "$key",
+    "x.a = $key AND 'pay $usd' = x.n",
+    "COUNT(SELECT s FROM S s WHERE r.c = s.c) = $n",
 ]
 
 
@@ -58,6 +61,10 @@ def test_round_trip(src):
 def test_pretty_is_stable(src):
     e = parse(src)
     assert pretty(parse(pretty(e))) == pretty(e)
+
+
+def test_parameter_prints_as_dollar_name():
+    assert pretty(parse("x.a=$key")) == "x.a = $key"
 
 
 def test_string_escaping_round_trips():

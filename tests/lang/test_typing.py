@@ -162,3 +162,23 @@ class TestSFWTyping:
         assert t("1 + 2.0", env) == FLOAT
         assert t("4 / 2", env) == FLOAT
         assert t("'a' + 'b'", env) == STRING
+
+
+class TestParameters:
+    def test_a_parameter_has_the_type_of_its_binding(self):
+        env = TypeEnv.with_tables({"X": X_ROW}, params={"k": INT, "s": STRING})
+        assert t("$k + 1", env) == INT
+        assert t("SELECT x FROM X x WHERE x.a = $k AND x.b = $s", env) == SetType(X_ROW)
+        # The binding reaches nested scopes too.
+        assert t("SELECT (SELECT $s FROM X y) FROM X x", env) == SetType(SetType(STRING))
+
+    def test_mistyped_binding_is_a_type_error(self):
+        env = TypeEnv.with_tables({"X": X_ROW}, params={"k": STRING})
+        with pytest.raises(TypeCheckError):
+            t("SELECT x FROM X x WHERE x.a = $k", env)
+
+    def test_unbound_parameter(self, env):
+        from repro.errors import NameError_
+
+        with pytest.raises(NameError_, match=r"unbound query parameter \$k"):
+            t("SELECT x FROM X x WHERE x.a = $k", env)

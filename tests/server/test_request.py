@@ -1,63 +1,88 @@
-"""Request shapes and parameter binding."""
+"""Request shapes and parameter binding.
+
+Parameters are values of the language, bound per execution: nothing is
+ever spliced into the query text.
+"""
 
 import pytest
 
-from repro.errors import ParseError
-from repro.server.request import QueryRequest, QueryResponse, bind_params, render_literal
+from repro import Catalog, Tup, prepared, run_query
+from repro.core.pipeline import clear_plan_cache
+from repro.errors import NameError_, ValueModelError
+from repro.lang.params import bind_values
+from repro.server.request import QueryRequest, QueryResponse
 
 
-class TestRenderLiteral:
-    def test_scalars(self):
-        assert render_literal(42) == "42"
-        assert render_literal(True) == "true"
-        assert render_literal(False) == "false"
-        assert render_literal(1.5) == "1.5"
-        assert render_literal("abc") == "'abc'"
-
-    def test_string_escaping(self):
-        assert render_literal("o'clock") == r"'o\'clock'"
-        assert render_literal("a\\b") == r"'a\\b'"
-
-    def test_unsupported_type_raises(self):
-        with pytest.raises(ParseError):
-            render_literal(frozenset())
+@pytest.fixture
+def catalog():
+    clear_plan_cache()
+    cat = Catalog()
+    cat.add_rows("R", [Tup(a=i, n=f"n{i}") for i in range(10)])
+    cat.add_rows("E", [Tup(name="pay $usd", k=1), Tup(name="o'clock", k=3)])
+    cat.add_rows("N", [Tup(n="$k", a=3), Tup(n="3", a=3)])
+    return cat
 
 
 class TestBindParams:
-    def test_no_params_passthrough(self):
+    def test_no_params_passthrough(self, catalog):
+        assert bind_values(None) == {}
+        text = "SELECT r FROM R r WHERE r.a < 3"
+        assert prepared(text, catalog).execute(catalog) == run_query(text, catalog).value
+
+    def test_substitution(self, catalog):
+        value = run_query("SELECT r FROM R r WHERE r.a = $key", catalog, params={"key": 7}).value
+        assert value == run_query("SELECT r FROM R r WHERE r.a = 7", catalog).value
+        assert len(value) == 1
+
+    def test_multiple_and_repeated(self, catalog):
+        text = "SELECT $a + $b + $a FROM R r WHERE r.a = 0"
+        assert run_query(text, catalog, params={"a": 1, "b": 2}).value == frozenset({4})
+
+    def test_unbound_raises(self, catalog):
+        with pytest.raises(NameError_, match=r"unbound query parameter \$key"):
+            run_query("SELECT r FROM R r WHERE r.a = $key", catalog, params={})
+        with pytest.raises(NameError_, match="unbound"):
+            prepared("SELECT r FROM R r WHERE r.a = $key", catalog)
+
+    def test_unused_params_ignored(self, catalog):
         text = "SELECT r FROM R r"
-        assert bind_params(text, None) is text
+        assert run_query(text, catalog, params={"x": 1}).value == run_query(text, catalog).value
 
-    def test_substitution(self):
-        bound = bind_params("SELECT r FROM R r WHERE r.a = $key", {"key": 7})
-        assert bound == "SELECT r FROM R r WHERE r.a = 7"
+    def test_string_param_round_trips_through_parser(self, catalog):
+        text = "SELECT e.k FROM E e WHERE e.name = $n"
+        assert run_query(text, catalog, params={"n": "o'clock"}).value == frozenset({3})
 
-    def test_multiple_and_repeated(self):
-        bound = bind_params("$a + $b + $a", {"a": 1, "b": 2})
-        assert bound == "1 + 2 + 1"
+    def test_values_are_coerced_to_model_values(self):
+        assert bind_values({"s": {1, 2}, "l": [1], "t": {"a": 1}}) == {
+            "s": frozenset({1, 2}),
+            "l": (1,),
+            "t": Tup(a=1),
+        }
+        with pytest.raises(ValueModelError):
+            bind_values({"x": object()})
 
-    def test_unbound_raises(self):
-        with pytest.raises(ParseError, match="unbound query parameter"):
-            bind_params("SELECT r FROM R r WHERE r.a = $key", {})
 
-    def test_unused_params_ignored(self):
-        assert bind_params("SELECT r FROM R r", {"x": 1}) == "SELECT r FROM R r"
+class TestDollarInsideLiterals:
+    """``$word`` inside a string literal is plain text, not a parameter."""
 
-    def test_string_param_round_trips_through_parser(self):
-        from repro.lang.parser import parse
+    def test_literal_dollar_needs_no_binding(self, catalog):
+        text = "SELECT e.k FROM E e WHERE e.name = 'pay $usd'"
+        assert run_query(text, catalog).value == frozenset({1})
+        assert prepared(text, catalog).execute(catalog) == frozenset({1})
 
-        bound = bind_params("SELECT r FROM R r WHERE r.name = $n", {"n": "o'clock"})
-        parse(bound)  # must lex/parse cleanly
+    def test_literal_dollar_is_not_substituted(self, catalog):
+        # Textual binding turned '$k' into '3' and matched the row named "3";
+        # only the parameter binds.
+        text = "SELECT r.n FROM N r WHERE r.n = '$k' AND r.a = $k"
+        for engine in ("interpret", "logical", "physical"):
+            value = run_query(text, catalog, engine=engine, params={"k": 3}).value
+            assert value == frozenset({"$k"}), engine
 
 
 class TestShapes:
     def test_request_ids_unique(self):
         a, b = QueryRequest("SELECT r FROM R r"), QueryRequest("SELECT r FROM R r")
         assert a.request_id != b.request_id
-
-    def test_bound_query_uses_params(self):
-        request = QueryRequest("SELECT r FROM R r WHERE r.a = $k", params={"k": 3})
-        assert request.bound_query().endswith("r.a = 3")
 
     def test_response_ok_and_dict(self):
         response = QueryResponse("q1", "ok", value=frozenset({1}), catalog_version=9)

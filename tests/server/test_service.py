@@ -89,6 +89,51 @@ class TestBasicServing:
         assert response.outcome == "error"
         assert "unbound" in response.error
 
+    def test_unbound_param_leaves_no_live_or_in_flight_entry(self, catalog):
+        for typecheck in (True, False):
+            with QueryService(catalog, workers=1, typecheck=typecheck) as service:
+                response = service.execute("SELECT r FROM R r WHERE r.a = $x")
+                assert response.outcome == "error", typecheck
+                assert "unbound query parameter $x" in response.error
+                assert service.registry.snapshot()["active"] == []
+                assert service._inflight == {}
+
+    def test_unused_params_are_ignored(self, catalog):
+        oracle = run_query(COUNT_BUG_NESTED, catalog, engine="interpret").value
+        with QueryService(catalog, workers=1) as service:
+            response = service.execute(COUNT_BUG_NESTED, params={"unused": 1})
+        assert response.ok and response.value == oracle
+
+    def test_dollar_inside_a_literal_needs_no_binding(self):
+        from repro import Catalog, Tup
+
+        cat = Catalog()
+        cat.add_rows("E", [Tup(name="pay $usd", k=1), Tup(name="other", k=2)])
+        with QueryService(cat, workers=1) as service:
+            response = service.execute("SELECT e.k FROM E e WHERE e.name = 'pay $usd'")
+        assert response.ok, response.error
+        assert response.value == frozenset({1})
+
+    def test_one_plan_for_all_bindings_one_result_per_binding(self, catalog):
+        from repro.core.pipeline import _PLAN_CACHE
+
+        with QueryService(catalog, workers=1) as service:
+            sources = [
+                service.execute(PARAM_LOOKUP, params={"key": key}).result_cache
+                for key in (3, 4, 3, 4)
+            ]
+            assert service.caches()["caches"]["result"]["top_entries"][0]["key"]["params"]
+        assert sources == ["miss", "miss", "hit", "hit"]
+        assert len(_PLAN_CACHE) == 1
+
+    def test_equal_values_of_different_types_do_not_share_a_result(self, catalog):
+        with QueryService(catalog, workers=1) as service:
+            assert service.execute(PARAM_LOOKUP, params={"key": 1}).ok
+            # True == 1 in Python, but BOOL does not type-check against INT.
+            response = service.execute(PARAM_LOOKUP, params={"key": True})
+        assert response.outcome == "error"
+        assert "cannot compare" in response.error
+
     def test_stats_shape(self, catalog):
         with QueryService(catalog, workers=2) as service:
             service.execute(COUNT_BUG_NESTED)

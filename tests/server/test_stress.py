@@ -151,3 +151,41 @@ class TestPreparedPlanCacheUnderContention:
             t.join()
         assert len(instances) == 8
         assert len({id(pq) for pq in instances}) == 1
+
+
+class TestParameterBindingsUnderContention:
+    def test_one_shared_plan_each_thread_sees_only_its_own_binding(self):
+        """Bindings are thread-local: threads executing one cached plan with
+        different values, switching as often as the interpreter allows,
+        never read each other's parameters."""
+        import sys
+
+        catalog = mixed_catalog(seed=3, n_left=60, n_right=120, n_chain=10)
+        text = "SELECT r.a FROM R r WHERE r.a = $key OR r.c = $key"
+        expected = {
+            key: run_query(text, catalog, engine="interpret", params={"key": key}).value
+            for key in range(16)
+        }
+        wrong = []
+        done = []
+
+        def client(key):
+            pq = prepared(text, catalog, params={"key": key})
+            for _ in range(40):
+                if pq.execute(catalog, {"key": key}) != expected[key]:
+                    wrong.append(key)
+            done.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(16))
+        assert wrong == []
