@@ -32,11 +32,12 @@ perf-gate: perf-report
 
 # The executor against the interpreter: every workload query and random
 # plans, across batch sizes and forced join algorithms; parameterised plans
-# against the literal text; the point-probe scan against the filter.
+# against the literal text; the point-probe scan against the filter; every
+# specialisation of the closure compiler against the tree-walker.
 parity:
 	$(PYTHON) -m pytest tests/engine/test_batch_parity.py tests/engine/test_batch.py \
 		tests/algebra/test_plan_fuzz.py tests/core/test_param_parity.py \
-		tests/engine/test_probe_parity.py -q
+		tests/engine/test_probe_parity.py tests/lang/test_compile_parity.py -q
 
 # Start a metrics endpoint over a live service, scrape once, validate.
 metrics-smoke:

@@ -56,6 +56,11 @@ class OpStats:
     children: list["OpStats"] = field(default_factory=list)
 
     @property
+    def executed(self) -> bool:
+        """Whether the operator ran at all in this run."""
+        return self.started != 0.0
+
+    @property
     def rows_in(self) -> int:
         """Rows pulled from the children (0 for leaves and cache-served joins)."""
         return sum(child.rows for child in self.children)
@@ -197,7 +202,8 @@ def explain_analyze(run: AnalyzedRun) -> str:
     ``est=… act=… q=…`` (plus rows in): the compile-time estimate, the
     measured rows out, and the q-error between them (see
     :func:`repro.engine.feedback.q_error`), so misestimates read directly
-    off the tree.
+    off the tree. An operator that never ran — the right child of a join
+    whose build side came from the cache — reads ``not executed`` instead.
     """
     from repro.engine.feedback import q_error
 
@@ -208,6 +214,13 @@ def explain_analyze(run: AnalyzedRun) -> str:
     def emit(stats: OpStats, indent: int) -> None:
         pad = "  " * indent
         op = stats.op
+        if not stats.executed:
+            # Nothing pulled from it (a join's build side served by the
+            # cache): there is no actual to score the estimate against.
+            lines.append(f"{pad}{op.describe()}  (est={op.est_rows:.0f}, not executed)")
+            for child in stats.children:
+                emit(child, indent + 1)
+            return
         parts = [
             f"est={op.est_rows:.0f}",
             f"in={stats.rows_in}",

@@ -27,7 +27,9 @@ surfaced through ``EXPLAIN`` (per join operator) and
 :func:`build_cache_stats` (globally).
 
 Artifact kinds stored here: ``"hash-build"`` (key tuple → right binding
-tuples), ``"sorted-runs"`` (sort-merge right runs), ``"hash-groups"`` /
+tuples), ``"hash-keys"`` (the frozenset of right key tuples a semi- or
+antijoin with a trivial residual probes), ``"sorted-runs"`` (sort-merge
+right runs), ``"hash-groups"`` /
 ``"inl-groups"`` (nest-join group tables, key tuple → frozenset),
 ``"columnar"`` (the vectorized engine's per-table column views, keyed by
 attribute tuple with an empty probe var — see

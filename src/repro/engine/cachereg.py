@@ -2,7 +2,7 @@
 
 The engine has three caches across three layers — the prepared-plan LRU
 (:mod:`repro.core.pipeline`), the build-side cache with its hash-build /
-sorted-run / group-table / columnar kinds (:mod:`repro.engine.cache`),
+key-set / sorted-run / group-table / columnar kinds (:mod:`repro.engine.cache`),
 and each query service's version-keyed result cache
 (:mod:`repro.server.service`). Each already keeps hit/miss counters, but
 nothing could answer the operational question "how many bytes is this

@@ -80,5 +80,5 @@ def execute_set(
         if sel is None:
             update(col)
         else:
-            update(col[i] for i in sel)
+            update(map(col.__getitem__, sel))
     return frozenset(values)

@@ -106,10 +106,17 @@ class OpFeedback:
 
 
 def feedback_entries(run: "AnalyzedRun") -> list[OpFeedback]:
-    """Per-operator feedback for every operator of an analyzed run."""
+    """Per-operator feedback for every operator that ran in an analyzed run.
+
+    An operator that never ran (the right child of a join whose build side
+    came from the cache, and everything below it) produced no actual, so
+    it is left out rather than scored as if it had produced nothing.
+    """
     entries: list[OpFeedback] = []
 
     def walk(stats: "OpStats") -> None:
+        if not stats.executed:
+            return
         op = stats.op
         entries.append(
             OpFeedback(

@@ -66,13 +66,15 @@ from repro.lang.ast import (
     Const,
     Expr,
     Param,
+    TupleExpr,
     Var,
+    attr_path,
     conjuncts,
     make_and,
     param_names,
 )
 from repro.model.types import TupleType
-from repro.model.values import Tup
+from repro.model.values import Tup, tup_of
 
 __all__ = ["PhysicalOp", "compile_plan", "JOIN_ALGORITHMS"]
 
@@ -244,21 +246,33 @@ class PMap(PhysicalOp):
     est_rows: float = 0.0
 
     def run_batches(self, tables, batch_size=DEFAULT_BATCH_SIZE):
+        expr = self.expr
+        var = self.var
+        fields = _path_fields(expr)
+        for batch in self.child.run_batches(tables, batch_size):
+            if isinstance(expr, Var) and expr.name in batch.columns:
+                # ``Map out = [r]``: the column is the output, selection
+                # vector and all — no closure, no copy.
+                yield Batch({var: batch.columns[expr.name]}, batch.n, batch.sel)
+            elif fields is not None:
+                yield Batch({var: _tuples_of_paths(batch, fields, tables)}, batch.live)
+            else:
+                yield from self._mapped(batch, tables)
+
+    def _mapped(self, batch, tables):
         from repro.lang.compile import compiled
 
         fn = compiled(self.expr)
-        var = self.var
-        for batch in self.child.run_batches(tables, batch_size):
-            items = list(batch.columns.items())
-            env: dict = {}
-            out: list = []
-            append = out.append
-            for i in batch.indices():
-                for k, c in items:
-                    env[k] = c[i]
-                append(fn(env, tables))
-            if out:
-                yield Batch({var: out}, len(out))
+        items = list(batch.columns.items())
+        env: dict = {}
+        out: list = []
+        append = out.append
+        for i in batch.indices():
+            for k, c in items:
+                env[k] = c[i]
+            append(fn(env, tables))
+        if out:
+            yield Batch({self.var: out}, len(out))
 
     def children(self):
         return (self.child,)
@@ -267,6 +281,28 @@ class PMap(PhysicalOp):
         from repro.lang.pretty import pretty
 
         return f"Map {self.var} = [{pretty(self.expr)}]"
+
+
+def _path_fields(expr: Expr) -> tuple[tuple[str, Expr], ...] | None:
+    """The fields of a tuple constructor whose every field is an attribute
+    path (``(a = x.a, b = y.b)``, ``(n = d.name, es = ys)``), else None."""
+    if not isinstance(expr, TupleExpr) or not expr.fields:
+        return None
+    for label, value in expr.fields:
+        if not (isinstance(label, str) and label) or attr_path(value) is None:
+            return None
+    return expr.fields
+
+
+def _tuples_of_paths(batch: Batch, fields, tables) -> list:
+    """One tuple per live row of *batch*, its fields read by column getters.
+
+    Rows are built one at a time, fields in order, so the first failing
+    read is the one the tuple closure would have raised; :func:`tup_of`
+    raises the constructor's error for a non-model value, as it does there.
+    """
+    pairs = [(label, batch.getter(path, tables)) for label, path in fields]
+    return [tup_of({label: g(i) for label, g in pairs}) for i in batch.indices()]
 
 
 @dataclass
@@ -460,11 +496,20 @@ class PJoin(PhysicalOp):
                 return
             table_name, var, attrs = self.index_target
             index = tables[table_name].hash_index(attrs)
+            if self._filters_by_key():
+                yield from self._batch_key_filter(tables, index, batch_size)
+                return
             yield from self._batch_probe(tables, index, batch_size, index_var=var)
             return
         if self.algorithm == "hash":
             if self.mode == "inner" and self.hash_build_left:
                 yield from self._batch_hash_build_left(tables, batch_size)
+                return
+            if self._filters_by_key():
+                keys = self._reusable(
+                    "hash-keys", tables, lambda: self._key_set(tables, batch_size)
+                )
+                yield from self._batch_key_filter(tables, keys, batch_size)
                 return
             if self.mode == "nest" and self.group_source is not None:
                 groups = self._reusable(
@@ -509,6 +554,51 @@ class PJoin(PhysicalOp):
             g0 = getters[0]
             return [(g0(i),) for i in range(n)]
         return [tuple(g(i) for g in getters) for i in range(n)]
+
+    def _filters_by_key(self) -> bool:
+        """A semi- or antijoin with a trivial residual: whether a left row
+        survives depends on its key alone."""
+        return self.mode in ("semi", "anti") and self.spec.residual_trivial
+
+    def _key_set(self, tables, batch_size):
+        """The right operand's distinct join-key tuples: all a key-filtering
+        semi/antijoin needs of its build side — no binding tuple per row."""
+        keys: set = set()
+        for batch in self.right.run_batches(tables, batch_size):
+            getters = [batch.getter(k, tables) for k in self.spec.right_keys]
+            if len(getters) == 1:
+                g = getters[0]
+                keys.update([(g(i),) for i in batch.indices()])
+            else:
+                keys.update([tuple([g(i) for g in getters]) for i in batch.indices()])
+        return frozenset(keys)
+
+    def _batch_key_filter(self, tables, keys, batch_size):
+        """Semi/antijoin by key membership in *keys* (a key set or a table
+        index): each left batch keeps its columns and gets a narrower
+        selection vector."""
+        want = self.mode == "semi"
+        token = current_token()
+        op_label = (
+            self.progress_label()
+            if token is not None and token.progress is not None
+            else None
+        )
+        for batch in self.left.run_batches(tables, batch_size):
+            if token is not None:
+                token.check(batch.live, op_label)
+            getters = [batch.getter(k, tables) for k in self.spec.left_keys]
+            if len(getters) == 1:
+                g = getters[0]
+                sel = [i for i in batch.indices() if ((g(i),) in keys) == want]
+            else:
+                sel = [
+                    i
+                    for i in batch.indices()
+                    if (tuple([g(i) for g in getters]) in keys) == want
+                ]
+            if sel:
+                yield Batch(batch.columns, batch.n, sel)
 
     def _batch_build(self, tables, batch_size):
         """The build side from the right child's batches: right-key tuple →
@@ -621,25 +711,20 @@ class PJoin(PhysicalOp):
             n = batch.n
             litems = list(batch.columns.items())
 
-            if mode in ("semi", "anti"):
+            if mode in ("semi", "anti"):  # residual not trivial: _batch_key_filter otherwise
                 want = mode == "semi"
                 sel: list[int] = []
                 append = sel.append
-                if trivial:
-                    for i in range(n):
-                        if (get(keys[i]) is not None) == want:
-                            append(i)
-                else:
-                    env: dict = {}
-                    for i in range(n):
-                        bucket = get(keys[i])
-                        matched = False
-                        if bucket:
-                            for k, c in litems:
-                                env[k] = c[i]
-                            matched = self._probe_match(env, bucket, res_fn, index_var, tables)
-                        if matched == want:
-                            append(i)
+                env: dict = {}
+                for i in range(n):
+                    bucket = get(keys[i])
+                    matched = False
+                    if bucket:
+                        for k, c in litems:
+                            env[k] = c[i]
+                        matched = self._probe_match(env, bucket, res_fn, index_var, tables)
+                    if matched == want:
+                        append(i)
                 if sel:
                     yield Batch(batch.columns, n, sel)
                 continue
@@ -959,7 +1044,10 @@ class PJoin(PhysicalOp):
             what = "group table"
         elif self.cache_source is not None and self.algorithm in ("hash", "sort_merge"):
             table_name, _var, keys_fp = self.cache_source
-            what = "hash build" if self.algorithm == "hash" else "sorted runs"
+            if self.algorithm == "sort_merge":
+                what = "sorted runs"
+            else:
+                what = "key set" if self._filters_by_key() else "hash build"
         else:
             return None
         keys = ", ".join(keys_fp)

@@ -69,6 +69,7 @@ __all__ = [
     "fresh_name",
     "contains_sfw",
     "param_names",
+    "attr_path",
 ]
 
 
@@ -567,3 +568,15 @@ def contains_sfw(expr: Expr) -> bool:
 def param_names(expr: Expr) -> tuple[str, ...]:
     """The distinct parameter names occurring in *expr*, sorted."""
     return tuple(sorted({e.name for e in walk(expr) if isinstance(e, Param)}))
+
+
+def attr_path(expr: Expr) -> tuple[str, tuple[str, ...]] | None:
+    """(root variable, labels) for a chain ``v.a.b…`` (``v`` alone: no labels), else None."""
+    labels: list[str] = []
+    while isinstance(expr, Attr):
+        labels.append(expr.label)
+        expr = expr.base
+    if isinstance(expr, Var):
+        labels.reverse()
+        return expr.name, tuple(labels)
+    return None

@@ -5,10 +5,25 @@ AST for every tuple; joins evaluate the same predicate millions of times.
 :func:`compile_expr` translates an expression *once* into nested Python
 closures over a plain ``dict`` environment, eliminating the dispatch.
 
-Semantics are identical to the interpreter by construction and by test:
-the reference executor keeps using the interpreter, so every differential
-test (fuzz suite, Table 2 equivalences, join agreement) cross-checks the
-compiler against it.
+Everything that does not depend on the row is decided at compile time, so
+the returned closure does only per-row work:
+
+* an attribute chain rooted at a variable (``e.address.city``) is one
+  closure over :func:`repro.model.values.walk_path`, which reads
+  ``Tup._fields`` directly;
+* a tuple constructor builds with :func:`repro.model.values.tup_of`, one
+  ``isinstance`` per value (the labels were checked by the AST);
+* ``EXISTS``/``FORALL`` copy the environment once per call, and for a
+  predicate ``L = R`` whose ``R`` does not mention the bound variable
+  evaluate ``R`` once per call, right after the first ``L``;
+* comparisons, arithmetic, set operations and aggregates pick their
+  operator and format their error text here, not per row.
+
+Semantics are identical to the interpreter — values, exception types and
+messages, and the order in which errors surface — by construction (both
+check operands with the ``require_*`` helpers of
+:mod:`repro.model.values` and compare with ``==``) and by test (``tests/lang/test_compile_parity.py`` and every differential suite
+that runs the reference executor on the interpreter).
 
 :func:`compiled` memoises compilation per expression object, keyed by
 ``id``. An entry lives exactly as long as its expression: it holds the
@@ -20,6 +35,7 @@ entries go with its AST.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from typing import Any, Callable, Mapping
 
@@ -52,10 +68,23 @@ from repro.lang.ast import (
     UnnestExpr,
     Var,
     VariantExpr,
+    attr_path,
 )
+from repro.lang.freevars import free_vars
 from repro.lang.params import param_value
-from repro.model.compare import compare, sort_key
-from repro.model.values import Null, Tup, Variant
+from repro.model.compare import sort_key
+from repro.model.values import (
+    Tup,
+    Variant,
+    attr_of,
+    require_bool,
+    require_collection,
+    require_number,
+    require_ordered,
+    require_set,
+    tup_of,
+    walk_path,
+)
 
 __all__ = ["compile_expr", "compiled", "CompiledExpr"]
 
@@ -84,56 +113,22 @@ def _resolve_table(tables: Mapping, name: str) -> Any:
     raise NameError_(f"unbound variable or unknown table {name!r}")
 
 
-def _as_bool(v: Any) -> bool:
-    if not isinstance(v, bool):
-        raise ExecutionError(f"expected boolean, got {v!r}")
-    return v
-
-
-def _iterate(value: Any, what: str):
-    if isinstance(value, (frozenset, tuple)):
-        return value
-    raise ExecutionError(f"{what} is not a collection: {value!r}")
-
-
-def _require_set(value: Any, what: str) -> frozenset:
-    if isinstance(value, frozenset):
-        return value
-    raise ExecutionError(f"{what} requires a set, got {value!r}")
-
-
-def _require_number(value: Any, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ExecutionError(f"{what} requires a number, got {value!r}")
-
-
 def compile_expr(e: Expr) -> CompiledExpr:
     """Translate *e* into a closure (see module docstring)."""
     if isinstance(e, Const):
         value = e.value
         return lambda env, tables: value
-    if isinstance(e, Var):
-        name = e.name
-        def var_fn(env, tables, _name=name):
-            if _name in env:
-                return env[_name]
-            return _resolve_table(tables, _name)
-        return var_fn
-    if isinstance(e, Attr):
+    if isinstance(e, (Var, Attr)):
+        path = attr_path(e)
+        if path is not None:
+            return _compile_path(*path)
         base = compile_expr(e.base)
         label = e.label
         def attr_fn(env, tables):
-            v = base(env, tables)
-            if not isinstance(v, Tup):
-                raise ExecutionError(f"attribute access .{label} on non-tuple {v!r}")
-            try:
-                return v[label]
-            except KeyError as exc:
-                raise ExecutionError(str(exc)) from None
+            return attr_of(base(env, tables), label)
         return attr_fn
     if isinstance(e, TupleExpr):
-        parts = [(label, compile_expr(v)) for label, v in e.fields]
-        return lambda env, tables: Tup({label: fn(env, tables) for label, fn in parts})
+        return _compile_tuple(e)
     if isinstance(e, SetExpr):
         items = [compile_expr(i) for i in e.items]
         return lambda env, tables: frozenset(fn(env, tables) for fn in items)
@@ -146,12 +141,12 @@ def compile_expr(e: Expr) -> CompiledExpr:
         return lambda env, tables: Variant(tag, value(env, tables))
     if isinstance(e, Not):
         operand = compile_expr(e.operand)
-        return lambda env, tables: not _as_bool(operand(env, tables))
+        return lambda env, tables: not require_bool(operand(env, tables))
     if isinstance(e, And):
         items = [compile_expr(i) for i in e.items]
         def and_fn(env, tables):
             for fn in items:
-                if not _as_bool(fn(env, tables)):
+                if not require_bool(fn(env, tables)):
                     return False
             return True
         return and_fn
@@ -159,7 +154,7 @@ def compile_expr(e: Expr) -> CompiledExpr:
         items = [compile_expr(i) for i in e.items]
         def or_fn(env, tables):
             for fn in items:
-                if _as_bool(fn(env, tables)):
+                if require_bool(fn(env, tables)):
                     return True
             return False
         return or_fn
@@ -171,63 +166,47 @@ def compile_expr(e: Expr) -> CompiledExpr:
         operand = compile_expr(e.operand)
         def neg_fn(env, tables):
             v = operand(env, tables)
-            _require_number(v, "unary minus")
+            require_number(v, "unary minus")
             return -v
         return neg_fn
     if isinstance(e, SetOp):
         left = compile_expr(e.left)
         right = compile_expr(e.right)
-        op = e.op
+        set_op = {
+            SetOpKind.UNION: operator.or_,
+            SetOpKind.INTERSECT: operator.and_,
+            SetOpKind.DIFF: operator.sub,
+        }[e.op]
         def setop_fn(env, tables):
-            l = _require_set(left(env, tables), "set operation")
-            r = _require_set(right(env, tables), "set operation")
-            if op == SetOpKind.UNION:
-                return l | r
-            if op == SetOpKind.INTERSECT:
-                return l & r
-            return l - r
+            l = require_set(left(env, tables), "set operation")
+            return set_op(l, require_set(right(env, tables), "set operation"))
         return setop_fn
     if isinstance(e, Agg):
         return _compile_agg(e)
     if isinstance(e, Quant):
-        domain = compile_expr(e.domain)
-        pred = compile_expr(e.pred)
-        var = e.var
-        exists = e.kind == QuantKind.EXISTS
-        def quant_fn(env, tables):
-            members = _iterate(domain(env, tables), "quantifier domain")
-            for m in members:
-                inner = dict(env)
-                inner[var] = m
-                if _as_bool(pred(inner, tables)):
-                    if exists:
-                        return True
-                elif not exists:
-                    return False
-            return not exists
-        return quant_fn
+        return _compile_quant(e)
     if isinstance(e, SFW):
         source = compile_expr(e.source)
         select = compile_expr(e.select)
         where = compile_expr(e.where) if e.where is not None else None
         var = e.var
         def sfw_fn(env, tables):
-            members = _iterate(source(env, tables), "FROM clause operand")
+            members = require_collection(source(env, tables), "FROM clause operand")
+            inner = dict(env)
             out = set()
             for m in members:
-                inner = dict(env)
                 inner[var] = m
-                if where is None or _as_bool(where(inner, tables)):
+                if where is None or require_bool(where(inner, tables)):
                     out.add(select(inner, tables))
             return frozenset(out)
         return sfw_fn
     if isinstance(e, UnnestExpr):
         operand = compile_expr(e.operand)
         def unnest_fn(env, tables):
-            outer = _require_set(operand(env, tables), "UNNEST")
+            outer = require_set(operand(env, tables), "UNNEST")
             out = set()
             for member in outer:
-                out |= _require_set(member, "UNNEST member")
+                out |= require_set(member, "UNNEST member")
             return frozenset(out)
         return unnest_fn
     if isinstance(e, TagOf):
@@ -252,18 +231,85 @@ def compile_expr(e: Expr) -> CompiledExpr:
     raise ExecutionError(f"cannot compile {type(e).__name__}")
 
 
-def _values_equal(a: Any, b: Any) -> bool:
-    if isinstance(a, Null) or isinstance(b, Null):
-        return isinstance(a, Null) and isinstance(b, Null)
-    return a == b
+def _compile_path(root: str, labels: tuple[str, ...]) -> CompiledExpr:
+    """``root.l1.l2…`` as one closure reading fields directly."""
+    if not labels:
+        def var_fn(env, tables):
+            try:
+                return env[root]
+            except KeyError:
+                return _resolve_table(tables, root)
+        return var_fn
+    def chain_fn(env, tables):
+        try:
+            v = env[root]
+        except KeyError:
+            v = _resolve_table(tables, root)
+        return walk_path(v, labels)
+    return chain_fn
 
 
-def _require_ordered(a: Any, b: Any) -> None:
-    ok = (int, float, str)
-    a_ok = isinstance(a, ok) and not isinstance(a, bool)
-    b_ok = isinstance(b, ok) and not isinstance(b, bool)
-    if not (a_ok and b_ok) or isinstance(a, str) != isinstance(b, str):
-        raise ExecutionError(f"ordering comparison requires numbers or strings, got {a!r} and {b!r}")
+def _compile_tuple(e: TupleExpr) -> CompiledExpr:
+    parts = [(label, compile_expr(v)) for label, v in e.fields]
+    if not all(isinstance(label, str) and label for label, _ in parts):
+        # Labels the constructor rejects: let it raise, as the interpreter does.
+        return lambda env, tables: Tup({label: fn(env, tables) for label, fn in parts})
+    return lambda env, tables: tup_of({label: fn(env, tables) for label, fn in parts})
+
+
+def _compile_quant(e: Quant) -> CompiledExpr:
+    domain = compile_expr(e.domain)
+    var = e.var
+    exists = e.kind == QuantKind.EXISTS
+    pred = e.pred
+    if isinstance(pred, Cmp) and pred.op == CmpOp.EQ and var not in free_vars(pred.right):
+        # ``L = R`` with R invariant over the members: R is evaluated once,
+        # right after the first L, exactly where the interpreter first
+        # evaluates it — an empty domain evaluates neither.
+        member = compile_expr(pred.left)
+        invariant = compile_expr(pred.right)
+        def quant_eq_fn(env, tables):
+            members = require_collection(domain(env, tables), "quantifier domain")
+            inner = dict(env)
+            pending = True
+            for m in members:
+                inner[var] = m
+                value = member(inner, tables)
+                if pending:
+                    other = invariant(inner, tables)
+                    pending = False
+                if (value == other) == exists:
+                    return exists
+            return not exists
+        return quant_eq_fn
+    body = compile_expr(pred)
+    def quant_fn(env, tables):
+        members = require_collection(domain(env, tables), "quantifier domain")
+        inner = dict(env)
+        for m in members:
+            inner[var] = m
+            if require_bool(body(inner, tables)) == exists:
+                return exists
+        return not exists
+    return quant_fn
+
+
+#: Ordering operators once both sides are numbers or both strings: the
+#: total order of :func:`repro.model.compare.compare` on those is Python's,
+#: with NaN comparing equal to everything (so ``<=`` is ``not >``).
+_ORDER = {
+    CmpOp.LT: operator.lt,
+    CmpOp.LE: lambda a, b: not a > b,
+    CmpOp.GT: operator.gt,
+    CmpOp.GE: lambda a, b: not a < b,
+}
+
+_INCLUSION = {
+    CmpOp.SUBSETEQ: operator.le,
+    CmpOp.SUBSET: operator.lt,
+    CmpOp.SUPSETEQ: operator.ge,
+    CmpOp.SUPSET: operator.gt,
+}
 
 
 def _compile_cmp(e: Cmp) -> CompiledExpr:
@@ -271,37 +317,27 @@ def _compile_cmp(e: Cmp) -> CompiledExpr:
     right = compile_expr(e.right)
     op = e.op
     if op == CmpOp.EQ:
-        return lambda env, tables: _values_equal(left(env, tables), right(env, tables))
+        return lambda env, tables: left(env, tables) == right(env, tables)
     if op == CmpOp.NE:
-        return lambda env, tables: not _values_equal(left(env, tables), right(env, tables))
-    if op in (CmpOp.LT, CmpOp.LE, CmpOp.GT, CmpOp.GE):
-        def order_fn(env, tables, _op=op):
+        return lambda env, tables: not left(env, tables) == right(env, tables)
+    if op in _ORDER:
+        order = _ORDER[op]
+        def order_fn(env, tables):
             a = left(env, tables)
             b = right(env, tables)
-            _require_ordered(a, b)
-            c = compare(a, b)
-            if _op == CmpOp.LT:
-                return c < 0
-            if _op == CmpOp.LE:
-                return c <= 0
-            if _op == CmpOp.GT:
-                return c > 0
-            return c >= 0
+            require_ordered(a, b)
+            return order(a, b)
         return order_fn
     if op == CmpOp.IN:
-        return lambda env, tables: left(env, tables) in _iterate(right(env, tables), "IN operand")
+        return lambda env, tables: left(env, tables) in require_collection(right(env, tables), "IN operand")
     if op == CmpOp.NOT_IN:
-        return lambda env, tables: left(env, tables) not in _iterate(right(env, tables), "NOT IN operand")
-    def incl_fn(env, tables, _op=op):
-        l = _require_set(left(env, tables), f"{_op.value} operand")
-        r = _require_set(right(env, tables), f"{_op.value} operand")
-        if _op == CmpOp.SUBSETEQ:
-            return l <= r
-        if _op == CmpOp.SUBSET:
-            return l < r
-        if _op == CmpOp.SUPSETEQ:
-            return l >= r
-        return l > r
+        return lambda env, tables: left(env, tables) not in require_collection(right(env, tables), "NOT IN operand")
+    inclusion = _INCLUSION[op]
+    what = f"{op.value} operand"
+    def incl_fn(env, tables):
+        l = left(env, tables)
+        r = right(env, tables)
+        return inclusion(require_set(l, what), require_set(r, what))
     return incl_fn
 
 
@@ -309,49 +345,76 @@ def _compile_arith(e: Arith) -> CompiledExpr:
     left = compile_expr(e.left)
     right = compile_expr(e.right)
     op = e.op
-    def arith_fn(env, tables):
-        a = left(env, tables)
-        b = right(env, tables)
-        if op == ArithOp.ADD and isinstance(a, str) and isinstance(b, str):
+    what = f"arithmetic {op.value}"
+    if op == ArithOp.ADD:
+        def add_fn(env, tables):
+            a = left(env, tables)
+            b = right(env, tables)
+            if isinstance(a, str) and isinstance(b, str):
+                return a + b
+            require_number(a, what)
+            require_number(b, what)
             return a + b
-        _require_number(a, f"arithmetic {op.value}")
-        _require_number(b, f"arithmetic {op.value}")
-        if op == ArithOp.ADD:
-            return a + b
-        if op == ArithOp.SUB:
-            return a - b
-        if op == ArithOp.MUL:
-            return a * b
-        if op == ArithOp.DIV:
+        return add_fn
+    if op == ArithOp.DIV:
+        def div_fn(env, tables):
+            a = left(env, tables)
+            b = right(env, tables)
+            require_number(a, what)
+            require_number(b, what)
             if b == 0:
                 raise ExecutionError("division by zero")
             if isinstance(a, int) and isinstance(b, int) and a % b == 0:
                 return a // b
             return a / b
-        if b == 0:
-            raise ExecutionError("modulo by zero")
-        return a % b
+        return div_fn
+    if op == ArithOp.MOD:
+        def mod_fn(env, tables):
+            a = left(env, tables)
+            b = right(env, tables)
+            require_number(a, what)
+            require_number(b, what)
+            if b == 0:
+                raise ExecutionError("modulo by zero")
+            return a % b
+        return mod_fn
+    py_op = operator.sub if op == ArithOp.SUB else operator.mul
+    def arith_fn(env, tables):
+        a = left(env, tables)
+        b = right(env, tables)
+        require_number(a, what)
+        require_number(b, what)
+        return py_op(a, b)
     return arith_fn
 
 
 def _compile_agg(e: Agg) -> CompiledExpr:
     operand = compile_expr(e.operand)
     func = e.func
-    def agg_fn(env, tables):
-        members = list(_iterate(operand(env, tables), f"{func.value} operand"))
-        if func == AggFunc.COUNT:
-            return len(members)
-        if func == AggFunc.SUM:
+    what = f"{func.value} operand"
+    if func == AggFunc.COUNT:
+        return lambda env, tables: len(require_collection(operand(env, tables), what))
+    if func == AggFunc.SUM:
+        def sum_fn(env, tables):
+            members = require_collection(operand(env, tables), what)
             for m in members:
-                _require_number(m, "sum")
+                require_number(m, "sum")
             return sum(members)
-        if not members:
-            raise ExecutionError(f"{func.value} of an empty collection is undefined")
-        if func == AggFunc.AVG:
+        return sum_fn
+    empty = f"{func.value} of an empty collection is undefined"
+    if func == AggFunc.AVG:
+        def avg_fn(env, tables):
+            members = require_collection(operand(env, tables), what)
+            if not members:
+                raise ExecutionError(empty)
             for m in members:
-                _require_number(m, "avg")
+                require_number(m, "avg")
             return sum(members) / len(members)
-        if func == AggFunc.MIN:
-            return min(members, key=sort_key)
-        return max(members, key=sort_key)
-    return agg_fn
+        return avg_fn
+    extreme = min if func == AggFunc.MIN else max
+    def extreme_fn(env, tables):
+        members = require_collection(operand(env, tables), what)
+        if not members:
+            raise ExecutionError(empty)
+        return extreme(members, key=sort_key)
+    return extreme_fn

@@ -48,7 +48,16 @@ from repro.lang.ast import (
 )
 from repro.lang.params import param_value
 from repro.model.compare import compare, sort_key
-from repro.model.values import Null, Tup, Variant
+from repro.model.values import (
+    Tup,
+    Variant,
+    attr_of,
+    require_bool,
+    require_collection,
+    require_number,
+    require_ordered,
+    require_set,
+)
 
 __all__ = ["Env", "evaluate", "evaluate_predicate"]
 
@@ -125,13 +134,7 @@ def _eval(e: Expr, env: Env, tables: Mapping[str, Any] | None) -> Any:
     if isinstance(e, Var):
         return _resolve_var(e.name, env, tables)
     if isinstance(e, Attr):
-        base = _eval(e.base, env, tables)
-        if not isinstance(base, Tup):
-            raise ExecutionError(f"attribute access .{e.label} on non-tuple {base!r}")
-        try:
-            return base[e.label]
-        except KeyError as exc:
-            raise ExecutionError(str(exc)) from None
+        return attr_of(_eval(e.base, env, tables), e.label)
     if isinstance(e, TupleExpr):
         return Tup({label: _eval(v, env, tables) for label, v in e.fields})
     if isinstance(e, SetExpr):
@@ -152,11 +155,11 @@ def _eval(e: Expr, env: Env, tables: Mapping[str, Any] | None) -> Any:
         return _eval_arith(e, env, tables)
     if isinstance(e, Neg):
         v = _eval(e.operand, env, tables)
-        _require_number(v, "unary minus")
+        require_number(v, "unary minus")
         return -v
     if isinstance(e, SetOp):
-        left = _require_set(_eval(e.left, env, tables), "set operation")
-        right = _require_set(_eval(e.right, env, tables), "set operation")
+        left = require_set(_eval(e.left, env, tables), "set operation")
+        right = require_set(_eval(e.right, env, tables), "set operation")
         if e.op == SetOpKind.UNION:
             return left | right
         if e.op == SetOpKind.INTERSECT:
@@ -166,13 +169,13 @@ def _eval(e: Expr, env: Env, tables: Mapping[str, Any] | None) -> Any:
         return _eval_agg(e, env, tables)
     if isinstance(e, Quant):
         domain = _eval(e.domain, env, tables)
-        members = _iterate(domain, "quantifier domain")
+        members = require_collection(domain, "quantifier domain")
         if e.kind == QuantKind.EXISTS:
             return any(_eval_bool(e.pred, env.bind(e.var, m), tables) for m in members)
         return all(_eval_bool(e.pred, env.bind(e.var, m), tables) for m in members)
     if isinstance(e, SFW):
         source = _eval(e.source, env, tables)
-        members = _iterate(source, "FROM clause operand")
+        members = require_collection(source, "FROM clause operand")
         out = set()
         for m in members:
             inner = env.bind(e.var, m)
@@ -180,10 +183,10 @@ def _eval(e: Expr, env: Env, tables: Mapping[str, Any] | None) -> Any:
                 out.add(_eval(e.select, inner, tables))
         return frozenset(out)
     if isinstance(e, UnnestExpr):
-        outer = _require_set(_eval(e.operand, env, tables), "UNNEST")
+        outer = require_set(_eval(e.operand, env, tables), "UNNEST")
         out = set()
         for member in outer:
-            out |= _require_set(member, "UNNEST member")
+            out |= require_set(member, "UNNEST member")
         return frozenset(out)
     if isinstance(e, TagOf):
         v = _eval(e.operand, env, tables)
@@ -201,41 +204,21 @@ def _eval(e: Expr, env: Env, tables: Mapping[str, Any] | None) -> Any:
 
 
 def _eval_bool(e: Expr, env: Env, tables) -> bool:
-    v = _eval(e, env, tables)
-    if not isinstance(v, bool):
-        raise ExecutionError(f"expected boolean, got {v!r}")
-    return v
-
-
-def _iterate(value: Any, what: str):
-    if isinstance(value, frozenset):
-        return value
-    if isinstance(value, tuple):
-        return value
-    raise ExecutionError(f"{what} is not a collection: {value!r}")
-
-
-def _require_set(value: Any, what: str) -> frozenset:
-    if isinstance(value, frozenset):
-        return value
-    raise ExecutionError(f"{what} requires a set, got {value!r}")
-
-
-def _require_number(value: Any, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ExecutionError(f"{what} requires a number, got {value!r}")
+    return require_bool(_eval(e, env, tables))
 
 
 def _eval_cmp(e: Cmp, env: Env, tables) -> bool:
     left = _eval(e.left, env, tables)
     right = _eval(e.right, env, tables)
     op = e.op
+    # ``==`` is the language's equality: NULL = NULL (see values.Null), mixed
+    # numeric types compare numerically, everything else structurally.
     if op == CmpOp.EQ:
-        return _values_equal(left, right)
+        return left == right
     if op == CmpOp.NE:
-        return not _values_equal(left, right)
+        return not left == right
     if op in (CmpOp.LT, CmpOp.LE, CmpOp.GT, CmpOp.GE):
-        _require_ordered(left, right)
+        require_ordered(left, right)
         c = compare(left, right)
         if op == CmpOp.LT:
             return c < 0
@@ -245,11 +228,11 @@ def _eval_cmp(e: Cmp, env: Env, tables) -> bool:
             return c > 0
         return c >= 0
     if op == CmpOp.IN:
-        return left in _iterate(right, "IN operand")
+        return left in require_collection(right, "IN operand")
     if op == CmpOp.NOT_IN:
-        return left not in _iterate(right, "NOT IN operand")
-    lset = _require_set(left, f"{op.value} operand")
-    rset = _require_set(right, f"{op.value} operand")
+        return left not in require_collection(right, "NOT IN operand")
+    lset = require_set(left, f"{op.value} operand")
+    rset = require_set(right, f"{op.value} operand")
     if op == CmpOp.SUBSETEQ:
         return lset <= rset
     if op == CmpOp.SUBSET:
@@ -261,32 +244,14 @@ def _eval_cmp(e: Cmp, env: Env, tables) -> bool:
     raise ExecutionError(f"unknown comparison {op}")  # pragma: no cover
 
 
-def _values_equal(a: Any, b: Any) -> bool:
-    # NULL == NULL by design (see values.Null); mixed numeric types compare
-    # numerically; everything else is structural equality.
-    if isinstance(a, Null) or isinstance(b, Null):
-        return isinstance(a, Null) and isinstance(b, Null)
-    return a == b
-
-
-def _require_ordered(a: Any, b: Any) -> None:
-    ok_types = (int, float, str)
-    a_ok = isinstance(a, ok_types) and not isinstance(a, bool)
-    b_ok = isinstance(b, ok_types) and not isinstance(b, bool)
-    if not (a_ok and b_ok):
-        raise ExecutionError(f"ordering comparison requires numbers or strings, got {a!r} and {b!r}")
-    if isinstance(a, str) != isinstance(b, str):
-        raise ExecutionError(f"cannot order {a!r} against {b!r}")
-
-
 def _eval_arith(e: Arith, env: Env, tables) -> Any:
     left = _eval(e.left, env, tables)
     right = _eval(e.right, env, tables)
     op = e.op
     if op == ArithOp.ADD and isinstance(left, str) and isinstance(right, str):
         return left + right
-    _require_number(left, f"arithmetic {op.value}")
-    _require_number(right, f"arithmetic {op.value}")
+    require_number(left, f"arithmetic {op.value}")
+    require_number(right, f"arithmetic {op.value}")
     if op == ArithOp.ADD:
         return left + right
     if op == ArithOp.SUB:
@@ -310,20 +275,20 @@ def _eval_arith(e: Arith, env: Env, tables) -> Any:
 
 def _eval_agg(e: Agg, env: Env, tables) -> Any:
     operand = _eval(e.operand, env, tables)
-    members = list(_iterate(operand, f"{e.func.value} operand"))
+    members = list(require_collection(operand, f"{e.func.value} operand"))
     if e.func == AggFunc.COUNT:
         return len(members)
     if e.func == AggFunc.SUM:
         # SUM(∅) = 0, mirroring COUNT(∅) = 0: both make the dangling-tuple
         # discussion of the paper crisp without a NULL.
         for m in members:
-            _require_number(m, "sum")
+            require_number(m, "sum")
         return sum(members)
     if not members:
         raise ExecutionError(f"{e.func.value} of an empty collection is undefined")
     if e.func == AggFunc.AVG:
         for m in members:
-            _require_number(m, "avg")
+            require_number(m, "avg")
         return sum(members) / len(members)
     if e.func == AggFunc.MIN:
         return min(members, key=sort_key)

@@ -24,9 +24,26 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.errors import ValueModelError
+from repro.errors import ExecutionError, ValueModelError
 
-__all__ = ["Tup", "Variant", "Null", "NULL", "make_value", "is_value", "value_repr"]
+__all__ = [
+    "Tup",
+    "Variant",
+    "Null",
+    "NULL",
+    "VALUE_TYPES",
+    "attr_of",
+    "walk_path",
+    "tup_of",
+    "require_bool",
+    "require_collection",
+    "require_set",
+    "require_number",
+    "require_ordered",
+    "make_value",
+    "is_value",
+    "value_repr",
+]
 
 
 class Null:
@@ -35,7 +52,8 @@ class Null:
     Unlike SQL's three-valued logic, ``NULL == NULL`` holds here: the
     baselines only need NULL as a *pad value* for dangling tuples, and the
     simpler semantics keeps the demonstrations (COUNT bug and its fixes)
-    easy to follow.
+    easy to follow. NULL equals NULL and nothing else, so Python's ``==``
+    on model values is the language's ``=`` as it stands.
     """
 
     _instance: "Null | None" = None
@@ -258,6 +276,90 @@ def _unpickle_tup(fields: dict) -> "Tup":
     return Tup._from_validated(fields)
 
 
+def attr_of(value: Any, label: str) -> Any:
+    """``value.label``: the one attribute access of every evaluator.
+
+    The interpreter, the closure compiler and the batch getters all read
+    attributes through here, or through a direct ``_fields`` read that
+    falls back here on any failure, so a missing label and a non-tuple
+    base raise the same :class:`ExecutionError` text everywhere.
+    """
+    if isinstance(value, Tup):
+        fields = value._fields
+        if label in fields:
+            return fields[label]
+        raise ExecutionError(f"tuple has no attribute {label!r}; has {sorted(fields)}")
+    raise ExecutionError(f"attribute access .{label} on non-tuple {value!r}")
+
+
+def walk_path(value: Any, labels: Iterable[str]) -> Any:
+    """``value.l1.l2…`` for *labels*, with :func:`attr_of`'s errors."""
+    for label in labels:
+        try:
+            value = value._fields[label]
+        except (AttributeError, KeyError, TypeError):
+            value = attr_of(value, label)
+    return value
+
+
+def tup_of(fields: dict) -> "Tup":
+    """A tuple over a fresh *fields* dict whose labels are already known valid.
+
+    One ``isinstance`` per value instead of the constructor's full check;
+    a non-model value raises the constructor's :class:`ValueModelError`.
+    Takes ownership of *fields*, as :meth:`Tup._from_validated` does.
+    """
+    for v in fields.values():
+        if not isinstance(v, VALUE_TYPES):
+            return Tup(fields)  # raises
+    return Tup._from_validated(fields)
+
+
+# -- runtime checks of the expression language ------------------------------
+# The interpreter and the closure compiler both check operand types through
+# these, so a type error reads the same from either. Equality needs no
+# helper: ``==`` is the language's equality (see :class:`Null`).
+
+
+def require_bool(value: Any) -> bool:
+    """*value* if it is a boolean, else :class:`ExecutionError`."""
+    if not isinstance(value, bool):
+        raise ExecutionError(f"expected boolean, got {value!r}")
+    return value
+
+
+def require_collection(value: Any, what: str) -> "frozenset | tuple":
+    """*value* if it is a set or a list (the operand described by *what*)."""
+    if isinstance(value, (frozenset, tuple)):
+        return value
+    raise ExecutionError(f"{what} is not a collection: {value!r}")
+
+
+def require_set(value: Any, what: str) -> frozenset:
+    """*value* if it is a set (the operand described by *what*)."""
+    if isinstance(value, frozenset):
+        return value
+    raise ExecutionError(f"{what} requires a set, got {value!r}")
+
+
+def require_number(value: Any, what: str) -> Any:
+    """*value* if it is an int or a float — not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ExecutionError(f"{what} requires a number, got {value!r}")
+    return value
+
+
+def require_ordered(a: Any, b: Any) -> None:
+    """Check that ``a`` and ``b`` are both numbers or both strings."""
+    ok = (int, float, str)
+    a_ok = isinstance(a, ok) and not isinstance(a, bool)
+    b_ok = isinstance(b, ok) and not isinstance(b, bool)
+    if not (a_ok and b_ok):
+        raise ExecutionError(f"ordering comparison requires numbers or strings, got {a!r} and {b!r}")
+    if isinstance(a, str) != isinstance(b, str):
+        raise ExecutionError(f"cannot order {a!r} against {b!r}")
+
+
 class Variant:
     """A tagged (variant/union) value: ``tag`` selects a case, ``value`` is its payload."""
 
@@ -293,6 +395,10 @@ class Variant:
 
 _BASIC_TYPES = (bool, int, float, str)
 
+#: The Python types of model values: :func:`is_value` is one ``isinstance``
+#: against this tuple.
+VALUE_TYPES = (Tup, Variant, Null, frozenset, tuple) + _BASIC_TYPES
+
 
 def is_value(v: Any) -> bool:
     """True iff *v* is a well-formed model value.
@@ -301,7 +407,7 @@ def is_value(v: Any) -> bool:
     constructors (:class:`Tup`, :func:`make_value`) guarantee the invariant
     holds recursively.
     """
-    return isinstance(v, (Tup, Variant, Null, frozenset, tuple) + _BASIC_TYPES)
+    return isinstance(v, VALUE_TYPES)
 
 
 def make_value(v: Any) -> Any:

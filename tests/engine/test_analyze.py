@@ -92,7 +92,55 @@ class TestAnalyze:
 
         run = analyze(compile_plan(plan(), catalog), catalog)
         for line in explain_analyze(run).splitlines()[1:]:
+            if "not executed" in line:
+                assert "q=" not in line, line
+                continue
             m = re.search(r"est=(\d+), in=\d+, act=(\d+), q=([\d.]+)", line)
             assert m is not None, line
             est, act, q = float(m.group(1)), int(m.group(2)), float(m.group(3))
             assert q == pytest.approx(q_error(est, act), abs=0.005)
+
+
+class TestNotExecuted:
+    """Operators that never ran are reported, not scored."""
+
+    @staticmethod
+    def check(run, skipped):
+        from repro.engine.feedback import feedback_entries, record_run, top_misestimates
+        from repro.server.metrics import MetricsRegistry
+
+        lines = explain_analyze(run).splitlines()
+        assert f"{skipped}  (est=" in "\n".join(lines)
+        (line,) = [l for l in lines if skipped in l]
+        assert line.endswith("not executed)") and "q=" not in line and "act=" not in line
+        entries = feedback_entries(run)
+        assert skipped not in {e.describe for e in entries}
+        assert skipped not in {e.describe for e in top_misestimates(run, k=10)}
+        registry = MetricsRegistry()
+        record_run(run, registry=registry)
+        assert registry.snapshot()["histograms"]["qerror"]["count"] == len(entries)
+
+    def test_count_bug_right_scan_served_by_the_group_table(self):
+        from repro.core.pipeline import prepared
+        from repro.server.workload import mixed_catalog
+        from repro.workloads.queries import COUNT_BUG_NESTED
+
+        catalog = mixed_catalog(seed=1, n_left=40, n_right=240, n_chain=4)
+        pq = prepared(COUNT_BUG_NESTED, catalog)
+        pq.execute(catalog)  # warm the build cache
+        run = pq.analyze(catalog)
+        self.check(run, "Scan S AS s")
+        # Every operator that did run is still scored.
+        assert {e.describe for e in run.feedback()} >= {"Scan R AS r"}
+
+    def test_scan_under_a_cache_hit_hash_nest_join(self, catalog):
+        from repro.engine.cache import clear_build_cache
+
+        clear_build_cache()
+        compiled = compile_plan(plan(), catalog, force_algorithm="hash")
+        analyze(compiled, catalog)
+        run = analyze(compiled, catalog)
+        nest = run.stats.children[0].children[0]
+        assert nest.cache_hits == 1
+        assert not nest.children[1].executed and nest.children[0].executed
+        self.check(run, "Scan Y AS y")

@@ -78,10 +78,12 @@ class TestFeedbackEntries:
     def test_entries_cover_every_operator(self, catalog):
         run = analyze(compile_plan(plan(), catalog), catalog)
         entries = feedback_entries(run)
-        # Map, Select, NestJoin, two Scans.
-        assert len(entries) == 5
+        # Map, Select, NestJoin and Scan X; the nest join's group table is
+        # built from Y's index, so Scan Y never runs and is left out.
+        assert len(entries) == 4
         kinds = {e.kind for e in entries}
         assert "join_nest" in kinds and "scan" in kinds
+        assert [e.describe for e in entries if e.kind == "scan"] == ["Scan X AS x"]
 
     def test_entry_invariants(self, catalog):
         run = analyze(compile_plan(plan(), catalog), catalog)

@@ -74,16 +74,24 @@ ERROR_SOURCES = [
     "{1}.a",
     "UNNEST({1, 2})",
     "SUM({'a'})",
+    "x.q",
+    "x.a.q",
+    "1 < s",
+    "COUNT(x.a)",
+    "x.a SUBSETEQ s",
+    "EXISTS v IN s (v.a = 1)",
 ]
 
 
 @pytest.mark.parametrize("src", ERROR_SOURCES, ids=ERROR_SOURCES)
 def test_compiled_raises_where_interpreter_raises(src):
     expr = parse(src)
-    with pytest.raises(ExecutionError):
+    with pytest.raises(ExecutionError) as interpreted:
         evaluate(expr, Env(ENV))
-    with pytest.raises(ExecutionError):
+    with pytest.raises(ExecutionError) as compiled_error:
         compile_expr(expr)(dict(ENV), {})
+    assert type(compiled_error.value) is type(interpreted.value)
+    assert str(compiled_error.value) == str(interpreted.value)
 
 
 class TestMemoisation:
