@@ -2,33 +2,17 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-shapes bench-json serve-bench trace-smoke \
-	report fuzz examples all \
-	perf-report perf-gate metrics-smoke introspection-smoke cache-smoke parity
+.PHONY: test bench-shapes trace-smoke fuzz examples all \
+	metrics-smoke introspection-smoke cache-smoke parity
 
 test:
 	$(PYTHON) -m pytest tests/
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
+# The paper's tables, worked examples and timing claims as shape
+# assertions. Performance itself is measured by benchmarks/suite
+# (python3 benchmarks/suite/run.py; docs/benchmarking.md).
 bench-shapes:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-disable
-
-bench-json:
-	$(PYTHON) -m repro.bench --json BENCH_report.json
-
-serve-bench:
-	$(PYTHON) -m repro serve-bench --json SERVE_report.json
-
-# Timed workload benchmarks in the stable perf schema (docs/benchmarking.md).
-perf-report:
-	$(PYTHON) -m repro.bench --perf-only --json BENCH_report.json
-
-# Diff BENCH_report.json against the committed baseline. CI passes
-# PERF_GATE_FLAGS=--shape-only (shared runners have unstable clocks).
-perf-gate: perf-report
-	$(PYTHON) scripts/perf_gate.py $(PERF_GATE_FLAGS)
+	$(PYTHON) -m pytest benchmarks/test_paper_shapes.py
 
 # The executor against the interpreter: every workload query and random
 # plans, across batch sizes and forced join algorithms; parameterised plans
@@ -58,9 +42,6 @@ introspection-smoke:
 
 trace-smoke:
 	$(PYTHON) scripts/trace_smoke.py
-
-report:
-	$(PYTHON) -m repro.bench
 
 fuzz:
 	$(PYTHON) -m repro fuzz --n 1000

@@ -18,9 +18,10 @@ The library provides, end to end:
 * the **relational baselines** (:mod:`repro.baselines`): Kim's algorithm
   (exhibiting the COUNT bug), the Ganski–Wong outerjoin fix, and
   Muralikrishna's antijoin-predicate fix;
-* **workload generators** (:mod:`repro.workloads`) and a benchmark harness
-  (:mod:`repro.bench`) regenerating every table and worked example of the
-  paper.
+* **workload generators** (:mod:`repro.workloads`) for the paper's
+  examples; the tests and ``benchmarks/test_paper_shapes.py`` check every
+  table and worked example of the paper (DESIGN.md §4), and
+  ``benchmarks/suite`` measures the system.
 
 Quickstart::
 

@@ -94,51 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--db", required=True, help="catalog JSON file")
     tables.add_argument("--schema", help="TM DDL file to validate the catalog against")
 
-    compare = sub.add_parser(
-        "compare", help="run a query under every strategy and time them"
-    )
-    compare.add_argument("text", help="the SELECT-FROM-WHERE query")
-    compare.add_argument("--db", required=True, help="catalog JSON file")
-    compare.add_argument("--schema", help="TM DDL file to validate the catalog against")
-    compare.add_argument("--repeat", type=int, default=3, help="timing repetitions")
-
     fuzz = sub.add_parser(
         "fuzz", help="differential fuzzing: random queries on every engine"
     )
     fuzz.add_argument("--n", type=int, default=200, help="number of random queries")
     fuzz.add_argument("--seed", type=int, default=0, help="campaign seed")
-
-    serve = sub.add_parser(
-        "serve-bench",
-        help="hammer the concurrent query service with the mixed paper workload",
-    )
-    serve.add_argument("--workers", type=int, default=8, help="service worker threads")
-    serve.add_argument("--requests", type=int, default=400, help="requests in the batch")
-    serve.add_argument("--seed", type=int, default=0, help="workload seed")
-    serve.add_argument(
-        "--queue-limit",
-        type=int,
-        default=0,
-        help="admission queue capacity (0 = unbounded, no shedding)",
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=None, help="per-request deadline in seconds"
-    )
-    serve.add_argument(
-        "--no-oracle",
-        action="store_true",
-        help="skip the interpreter oracle cross-check (faster)",
-    )
-    serve.add_argument("--json", metavar="PATH", help="also write the JSON report to PATH")
-    serve.add_argument(
-        "--cache-budget-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="byte budget per cache (plan/build/result); least-recently-used "
-        "entries are evicted past it (0 = unlimited; default: "
-        "REPRO_CACHE_BUDGET_MB or unlimited)",
-    )
 
     metrics = sub.add_parser(
         "metrics",
@@ -299,62 +259,6 @@ def _serve_repeated(args: argparse.Namespace, catalog: Catalog) -> int:
     )
     print(f"-- plan cache: {plan_cache_stats().render()}", file=sys.stderr)
     print(f"-- build cache: {build_cache_stats().render()}", file=sys.stderr)
-    return 0
-
-
-def _serve_bench(args: argparse.Namespace) -> int:
-    """Run the mixed workload through the service and report throughput."""
-    from repro.server.bench import run_serve_bench
-
-    report = run_serve_bench(
-        workers=args.workers,
-        requests=args.requests,
-        seed=args.seed,
-        queue_limit=args.queue_limit,
-        timeout=args.timeout,
-        check_oracle=not args.no_oracle,
-        cache_budget_mb=args.cache_budget_mb,
-    )
-    latency = report["latency_ms"]
-    print(
-        f"serve-bench: {report['requests']} requests "
-        f"({report['distinct_queries']} distinct), {report['workers']} workers"
-    )
-    print(
-        f"  sequential: {report['sequential_seconds'] * 1e3:8.1f}ms "
-        f"({report['sequential_rps']:8.0f} req/s)"
-    )
-    print(
-        f"  service:    {report['service_seconds'] * 1e3:8.1f}ms "
-        f"({report['service_rps']:8.0f} req/s)  -> {report['speedup']:.2f}x"
-    )
-    if latency:
-        print(
-            f"  latency: p50 {latency['p50']:.2f}ms, p95 {latency['p95']:.2f}ms, "
-            f"max {latency['max']:.2f}ms"
-        )
-    print(f"  outcomes: {report['outcomes']}")
-    caches = report["stats"]["caches"]
-    for name in ("plan", "build", "result"):
-        c = caches[name]
-        print(
-            f"  {name} cache: {c['hits']} hits, {c['misses']} misses "
-            f"({c['hit_rate']:.0%} hit rate), {_fmt_bytes(c.get('bytes', 0))}"
-        )
-    oracle = (
-        f"{report['oracle_mismatches']} mismatches"
-        if report["oracle_checked"]
-        else "skipped"
-    )
-    print(f"  oracle: {oracle}; lost requests: {report['lost_requests']}")
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-        print(f"wrote {args.json}", file=sys.stderr)
-    if report["oracle_checked"] and report["oracle_mismatches"]:
-        return 1
     return 0
 
 
@@ -706,12 +610,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             table = catalog[name]
             print(f"{name}: {len(table)} rows, {table.row_type!r}")
         return 0
-    if args.command == "compare":
-        from repro.bench.compare import compare_strategies
-
-        catalog = _load(args)
-        print(compare_strategies(args.text, catalog, repeat=args.repeat).render())
-        return 0
     if args.command == "fuzz":
         from repro.testing import fuzz_campaign
 
@@ -723,8 +621,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             return 1
         print(f"ok: {args.n} random queries agreed on all engines (seed {args.seed})")
         return 0
-    if args.command == "serve-bench":
-        return _serve_bench(args)
     if args.command == "metrics":
         return _metrics_dump(args)
     if args.command == "top":

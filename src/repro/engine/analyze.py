@@ -2,12 +2,18 @@
 and wall time.
 
 :func:`analyze` runs a physical plan while counting the rows each operator
-produces and attributing elapsed time to it (inclusive of children, as is
-conventional for iterator engines); :func:`explain_analyze` renders the
-annotated tree.  Per operator the run records:
+produces and the time spent producing them; :func:`explain_analyze`
+renders the annotated tree.  An operator's clock runs only inside each
+``next()`` on its own batch iterator and stops while its consumer holds
+the batch, so an ancestor's work between two pulls is never booked to a
+descendant.  Per operator the run records:
 
 * ``rows`` (rows out) and, derived, ``rows_in`` (sum of children's output);
-* inclusive wall time and the start offset (for timeline export);
+* ``seconds``, the time inside its own ``next()`` calls — inclusive of its
+  children, which it pulls from in there, and of its own row counting —
+  and, derived, ``self_seconds`` (``seconds`` minus the children's), so
+  the self times of a tree sum to the root's ``seconds``;
+* the start offset of its first pull (for timeline export);
 * build-side cache hits/misses observed during *this* run (joins whose
   build artifact came from :data:`repro.engine.cache.BUILD_CACHE`);
 * the peak group size materialized by nest joins and Nest operators —
@@ -39,6 +45,7 @@ class OpStats:
 
     op: PhysicalOp
     rows: int = 0
+    #: Time inside this operator's own ``next()`` calls, children included.
     seconds: float = 0.0
     #: Absolute :func:`time.perf_counter` instant of the first pull (0.0 if
     #: the operator never ran — e.g. the right child of a cache-hit join).
@@ -59,6 +66,11 @@ class OpStats:
     def executed(self) -> bool:
         """Whether the operator ran at all in this run."""
         return self.started != 0.0
+
+    @property
+    def self_seconds(self) -> float:
+        """``seconds`` less the children's: the time this operator alone took."""
+        return self.seconds - sum(child.seconds for child in self.children)
 
     @property
     def rows_in(self) -> int:
@@ -119,6 +131,9 @@ def _instrument(
         if isinstance(swapped, PJoin)
         else None
     )
+    # The clock runs from here to each batch and from each resumption to
+    # the next batch; it is stopped while the consumer holds a batch.
+    running = True
     try:
         peak = 0
         for batch in swapped.run_batches(tables, batch_size):
@@ -134,11 +149,16 @@ def _instrument(
                             size = 0
                         if size > peak:
                             peak = size
+            stats.seconds += time.perf_counter() - start
+            running = False
             yield batch
+            start = time.perf_counter()
+            running = True
         if group_label is not None:
             stats.peak_group = peak
     finally:
-        stats.seconds = time.perf_counter() - start
+        if running:
+            stats.seconds += time.perf_counter() - start
         if cache_before is not None:
             stats.cache_hits = swapped.cache_hits - cache_before[0]
             stats.cache_misses = swapped.cache_misses - cache_before[1]
@@ -227,6 +247,7 @@ def explain_analyze(run: AnalyzedRun) -> str:
             f"act={stats.rows}",
             f"q={q_error(op.est_rows, stats.rows):.2f}",
             f"{stats.seconds * 1e3:.2f} ms",
+            f"self {stats.self_seconds * 1e3:.2f} ms",
         ]
         if stats.batches:
             parts.append(f"{stats.batches} batches")

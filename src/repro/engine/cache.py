@@ -47,12 +47,9 @@ LRU order until back under budget after each insert. Budget evictions
 bump the registry's memory-pressure counter and emit a structured
 ``cache_evict`` event; all evictions are split by reason
 (``capacity``/``version``/``budget``/``clear``) in
-:attr:`CacheStats.evictions_by_reason`. The per-insert sizing pass can
-be disabled wholesale with ``REPRO_CACHE_ACCOUNTING=0`` (byte gauges
-then read 0 and budgets are not enforced) — the perf report's
-``caches.accounting_overhead_pct`` measures exactly this switch. A
-process-wide default budget comes from ``REPRO_CACHE_BUDGET_MB``,
-applied per cache (build cache here, plan/result caches at their homes).
+:attr:`CacheStats.evictions_by_reason`. A process-wide default budget
+comes from ``REPRO_CACHE_BUDGET_MB``, applied per cache (build cache here,
+plan/result caches at their homes).
 The build cache registers with :mod:`repro.engine.cachereg` at import.
 """
 
@@ -77,33 +74,11 @@ __all__ = [
     "clear_build_cache",
     "set_build_cache_capacity",
     "set_build_cache_budget",
-    "set_accounting",
-    "accounting_enabled",
     "default_budget_bytes",
 ]
 
 #: Environment knob: per-cache byte budget in MiB (unset = unbounded).
 BUDGET_ENV = "REPRO_CACHE_BUDGET_MB"
-
-#: Environment knob: set to ``0``/``false``/``off`` to skip per-insert
-#: deep sizing entirely (bytes report 0, budgets are not enforced).
-ACCOUNTING_ENV = "REPRO_CACHE_ACCOUNTING"
-
-_accounting = os.environ.get(ACCOUNTING_ENV, "1").strip().lower() not in (
-    "0",
-    "false",
-    "off",
-)
-
-
-def set_accounting(enabled: bool) -> None:
-    """Toggle per-insert byte sizing process-wide (see module docstring)."""
-    global _accounting
-    _accounting = bool(enabled)
-
-
-def accounting_enabled() -> bool:
-    return _accounting
 
 
 def default_budget_bytes() -> int | None:
@@ -242,7 +217,7 @@ class LRUCache:
             )
 
     def put(self, key: Hashable, value: Any, nbytes: int | None = None) -> None:
-        if nbytes is None and (_accounting or self.max_bytes is not None):
+        if nbytes is None:
             nbytes = self.sizer(value)
         with self._lock:
             if self.capacity <= 0:
@@ -252,9 +227,8 @@ class LRUCache:
                 self.total_bytes -= old
                 self._entries.move_to_end(key)
             self._entries[key] = value
-            size = nbytes or 0
-            self._sizes[key] = size
-            self.total_bytes += size
+            self._sizes[key] = nbytes
+            self.total_bytes += nbytes
             self.stats.inserts += 1
             while len(self._entries) > self.capacity:
                 self._evict_lru("capacity")

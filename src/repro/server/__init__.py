@@ -20,9 +20,7 @@ Public surface:
 * :class:`~repro.server.registry.ActiveQueryRegistry` /
   :class:`~repro.server.registry.ActiveQuery` — live in-flight query
   tracking with progress fractions and admin cancel
-  (``QueryService.registry``, rendered by ``repro top``);
-* :func:`~repro.server.bench.run_serve_bench` — the mixed-workload
-  benchmark harness (``repro serve-bench``).
+  (``QueryService.registry``, rendered by ``repro top``).
 
 See docs/serving.md for the architecture and the lifecycle of a request,
 and docs/observability.md for tracing and the slow-query log.

@@ -1,8 +1,8 @@
 """Thread-safe serving metrics: counters, latency histograms, a registry.
 
 The query service records every request's fate here; :meth:`MetricsRegistry.snapshot`
-is what ``QueryService.stats()`` and the ``repro serve-bench`` JSON report
-serialize. The pieces are deliberately minimal:
+is what ``QueryService.stats()`` serializes. The pieces are deliberately
+minimal:
 
 * :class:`Counter` — a monotonically increasing integer;
 * :class:`Histogram` — running count/sum/min/max plus a bounded ring of

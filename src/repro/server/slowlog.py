@@ -20,8 +20,7 @@ correlation key stamped on structured event-log lines
 query joins directly against its admission/cancel/completion events.
 
 :meth:`SlowQueryLog.snapshot` returns both populations as plain dicts for
-``QueryService.stats()["slow_queries"]`` and the ``repro serve-bench``
-report.
+``QueryService.stats()["slow_queries"]``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Tests for the prepared-query API (compile once, execute many)."""
 
+import timeit
+
 import pytest
 
 from repro.core.pipeline import (
@@ -103,13 +105,15 @@ class TestPreparedQuery:
         assert prep.execute(catalog) == oracle
 
     def test_prepare_once_is_faster_for_repeats(self, catalog):
-        from repro.bench.harness import time_best
-
         prepared = PreparedQuery(COUNT_BUG_NESTED, catalog)
         prepared.execute(catalog)  # warm the compilation cache
-        t_prepared = time_best(lambda: prepared.execute(catalog), 5)
-        t_full = time_best(
-            lambda: run_query(COUNT_BUG_NESTED, catalog, engine="physical"), 5
+        t_prepared = min(timeit.repeat(lambda: prepared.execute(catalog), number=1, repeat=5))
+        t_full = min(
+            timeit.repeat(
+                lambda: run_query(COUNT_BUG_NESTED, catalog, engine="physical"),
+                number=1,
+                repeat=5,
+            )
         )
         # Margin absorbs scheduler noise; preparation skips parse/typecheck/
         # translate/rewrite/compile, so the gap is structural.

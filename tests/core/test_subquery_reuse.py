@@ -1,6 +1,7 @@
 """Common subquery elimination: identical subqueries materialize once."""
 
 import random
+import timeit
 
 import pytest
 from hypothesis import given, settings
@@ -84,7 +85,6 @@ def test_reuse_preserves_semantics(seed):
 
 def test_reuse_is_faster_than_double_materialization():
     # Indirect but robust check: the reused plan does half the join work.
-    from repro.bench.harness import time_best
     from repro.workloads import make_join_workload
 
     wl = make_join_workload(n_left=300, match_rate=0.6, fanout=3, seed=5)
@@ -99,6 +99,8 @@ def test_reuse_is_faster_than_double_materialization():
     )
     assert prepare(reused, cat).join_kinds() == ["nestjoin"]
     assert prepare(distinct, cat).join_kinds() == ["nestjoin", "nestjoin"]
-    t_reused = time_best(lambda: run_query(reused, cat, engine="physical"), 3)
-    t_distinct = time_best(lambda: run_query(distinct, cat, engine="physical"), 3)
+    t_reused = min(timeit.repeat(lambda: run_query(reused, cat, engine="physical"), number=1, repeat=3))
+    t_distinct = min(
+        timeit.repeat(lambda: run_query(distinct, cat, engine="physical"), number=1, repeat=3)
+    )
     assert t_reused < t_distinct

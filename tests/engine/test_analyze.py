@@ -101,6 +101,51 @@ class TestAnalyze:
             assert q == pytest.approx(q_error(est, act), abs=0.005)
 
 
+class TestOperatorTimes:
+    """Each operator is charged for its own ``next()`` calls only."""
+
+    @pytest.fixture
+    def wide(self):
+        cat = Catalog()
+        cat.add_rows("X", [Tup(a=i, b=i % 7) for i in range(150)])
+        cat.add_rows("Y", [Tup(c=i, d=i % 11) for i in range(150)])
+        return cat
+
+    # A correlated subquery per row: all of the work is the Map's.
+    SLOW = parse("COUNT(SELECT y FROM Y y WHERE y.d = x.b)")
+
+    def test_self_times_sum_to_the_total(self, wide):
+        tree = Map(
+            Select(
+                NestJoin(Scan("X", "x"), Scan("Y", "y"), parse("x.b = y.d"), None, "zs"),
+                parse("COUNT(zs) > 0"),
+            ),
+            self.SLOW,
+            "v",
+        )
+        run = analyze(compile_plan(tree, wide, force_algorithm="hash"), wide)
+
+        def nodes(stats):
+            yield stats
+            for child in stats.children:
+                yield from nodes(child)
+
+        selves = [s.self_seconds for s in nodes(run.stats)]
+        assert min(selves) >= 0
+        assert sum(selves) == pytest.approx(run.stats.seconds)
+        # What the tree does not account for is the analyze loop turning
+        # the root's batches into result tuples.
+        assert 0.8 * run.total_seconds <= sum(selves) <= run.total_seconds
+
+    def test_expensive_map_is_charged_to_the_map(self, wide):
+        run = analyze(compile_plan(Map(Scan("X", "x"), self.SLOW, "v"), wide), wide)
+        (scan,) = run.stats.children
+        assert run.stats.self_seconds >= 0.8 * run.stats.seconds
+        assert scan.seconds <= 0.1 * run.stats.seconds
+        root_line, scan_line = explain_analyze(run).splitlines()[1:]
+        assert "self " in root_line and "self " in scan_line
+
+
 class TestNotExecuted:
     """Operators that never ran are reported, not scored."""
 

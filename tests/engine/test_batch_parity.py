@@ -13,11 +13,16 @@ from collections import Counter
 import pytest
 
 from repro.algebra.interpreter import result_set, run_logical
-from repro.bench.perf import PERF_QUERIES
 from repro.core.pipeline import prepared
 from repro.engine.executor import execute, execute_set
 from repro.engine.physical import JOIN_ALGORITHMS, compile_plan
 from repro.server.workload import mixed_catalog
+from repro.workloads import queries as workload_queries
+
+#: name → query text: every named workload query, in declaration order.
+WORKLOAD_QUERIES = {
+    name.lower(): getattr(workload_queries, name) for name in workload_queries.__all__
+}
 
 BATCH_SIZES = (1, 7, 64, 1024)
 
@@ -31,14 +36,14 @@ def catalog():
 def reference(catalog):
     return {
         name: run_logical(prepared(text, catalog).plan, catalog)
-        for name, text in PERF_QUERIES.items()
+        for name, text in WORKLOAD_QUERIES.items()
     }
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("algorithm", (None,) + JOIN_ALGORITHMS)
 def test_workload_queries_match_the_interpreter(catalog, reference, algorithm, batch_size):
-    for name, text in PERF_QUERIES.items():
+    for name, text in WORKLOAD_QUERIES.items():
         plan = prepared(text, catalog).plan
         physical = compile_plan(plan, catalog, force_algorithm=algorithm)
         rows = execute(physical, catalog, batch_size=batch_size)

@@ -2,14 +2,13 @@
 
 A cache under memory pressure may evict any artifact at any time —
 including the entry just inserted — so execution must never *depend* on a
-cached value being retrievable. Run the whole perf workload with every
+cached value being retrievable. Run every workload query with every
 cache squeezed under a budget far below a single build artifact and
 compare against the unbudgeted baseline.
 """
 
 import pytest
 
-from repro.bench.perf import PERF_QUERIES
 from repro.core.pipeline import (
     clear_plan_cache,
     prepared,
@@ -21,6 +20,12 @@ from repro.engine.cache import (
     set_build_cache_budget,
 )
 from repro.server.workload import mixed_catalog
+from repro.workloads import queries as workload_queries
+
+#: name → query text: every named workload query, in declaration order.
+WORKLOAD_QUERIES = {
+    name.lower(): getattr(workload_queries, name) for name in workload_queries.__all__
+}
 
 TINY = 2048  # bytes: below any real plan or build artifact
 
@@ -36,7 +41,7 @@ def baseline(catalog):
     clear_build_cache()
     return {
         name: prepared(text, catalog).execute(catalog)
-        for name, text in PERF_QUERIES.items()
+        for name, text in WORKLOAD_QUERIES.items()
     }
 
 
@@ -54,7 +59,7 @@ def tiny_budgets():
 
 
 def test_budgets_never_change_results(catalog, baseline, tiny_budgets):
-    for name, text in PERF_QUERIES.items():
+    for name, text in WORKLOAD_QUERIES.items():
         got = prepared(text, catalog).execute(catalog)
         assert got == baseline[name], name
         # Run each twice: the second execution exercises the rebuild path

@@ -322,28 +322,3 @@ class TestByteBudget:
         lru.put("a", "x" * 4000)
         lru.put("a", "x" * 10)
         assert lru.total_bytes == lru.entry_bytes("a") < 1000
-
-    def test_accounting_switch_disables_sizing(self):
-        from repro.engine.cache import accounting_enabled, set_accounting
-
-        assert accounting_enabled()
-        set_accounting(False)
-        try:
-            lru = LRUCache(capacity=4)
-            lru.put("a", "x" * 4000)
-            assert lru.total_bytes == 0  # sizing pass skipped
-        finally:
-            set_accounting(True)
-
-    def test_budget_still_enforced_with_accounting_off(self):
-        # An explicit max_bytes keeps sizing on for that cache: budgets
-        # are a correctness bound, not telemetry.
-        from repro.engine.cache import set_accounting
-
-        set_accounting(False)
-        try:
-            lru = LRUCache(capacity=10, max_bytes=100, name="probe")
-            lru.put("big", "x" * 10_000)
-            assert lru.total_bytes <= 100
-        finally:
-            set_accounting(True)

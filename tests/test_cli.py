@@ -136,25 +136,6 @@ class TestOtherCommands:
         assert "p50" in err and "p95" in err
         assert "plan cache" in err
 
-    def test_serve_bench(self, tmp_path, capsys):
-        out_json = tmp_path / "serve.json"
-        code = main(
-            [
-                "serve-bench",
-                "--workers", "2",
-                "--requests", "30",
-                "--no-oracle",
-                "--json", str(out_json),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serve-bench: 30 requests" in out
-        assert "result cache" in out
-        report = json.loads(out_json.read_text())
-        assert report["lost_requests"] == 0
-        assert report["outcomes"].get("ok") == 30
-
     def test_caches_plain_renders_live_endpoint(self, capsys):
         from repro.server.exposition import serve_metrics
         from repro.server.service import QueryService
@@ -181,21 +162,22 @@ class TestOtherCommands:
         assert code == 1
         assert "cannot reach" in capsys.readouterr().err
 
-    def test_serve_bench_cache_budget_flag(self, capsys):
+    def test_metrics_cache_budget_flag(self, tmp_path, capsys):
         from repro.core.pipeline import set_plan_cache_budget
         from repro.engine.cache import set_build_cache_budget
 
+        out_path = tmp_path / "metrics.txt"
         try:
             code = main(
-                ["serve-bench", "--workers", "2", "--requests", "20",
-                 "--no-oracle", "--cache-budget-mb", "0.002"]
+                ["metrics", "--workers", "2", "--requests", "20",
+                 "--cache-budget-mb", "0.002", "--out", str(out_path)]
             )
         finally:
             set_plan_cache_budget(None)
             set_build_cache_budget(None)
         assert code == 0
-        out = capsys.readouterr().out
-        assert "serve-bench: 20 requests" in out
+        assert "20/20 requests ok" in capsys.readouterr().err
+        assert 'reason="budget"' in out_path.read_text()
 
     def test_missing_db_file(self, tmp_path, capsys):
         with pytest.raises(FileNotFoundError):
