@@ -17,11 +17,14 @@ bench-shapes:
 # The executor against the interpreter: every workload query and random
 # plans, across batch sizes and forced join algorithms; parameterised plans
 # against the literal text; the point-probe scan against the filter; every
-# specialisation of the closure compiler against the tree-walker.
+# specialisation of the closure compiler against the tree-walker; the regex
+# lexer against the character loop it replaced; the one-pass normal form and
+# the translation against their recorded golden output.
 parity:
 	$(PYTHON) -m pytest tests/engine/test_batch_parity.py tests/engine/test_batch.py \
 		tests/algebra/test_plan_fuzz.py tests/core/test_param_parity.py \
-		tests/engine/test_probe_parity.py tests/lang/test_compile_parity.py -q
+		tests/engine/test_probe_parity.py tests/lang/test_compile_parity.py \
+		tests/lang/test_lexer_differential.py tests/core/test_golden_translation.py -q
 
 # Start a metrics endpoint over a live service, scrape once, validate.
 metrics-smoke:

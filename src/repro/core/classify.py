@@ -62,6 +62,7 @@ from repro.lang.ast import (
     SetOpKind,
     TRUE,
     Var,
+    _rebuild,
     fresh_name,
     walk,
 )
@@ -110,16 +111,19 @@ def contains_expr(haystack: Expr, needle: Expr) -> bool:
 
 
 def replace_expr(haystack: Expr, needle: Expr, replacement: Expr) -> Expr:
-    """Replace occurrences of *needle* (by structural equality) in *haystack*."""
-    from repro.lang.ast import transform
+    """Replace occurrences of *needle* (by structural equality) in *haystack*.
 
-    def rule(e: Expr) -> Expr:
-        return replacement if e == needle else e
+    Top-down: a match is replaced whole, without descending into it. The
+    identity test comes first because callers mostly pass a node they found
+    inside *haystack*.
+    """
 
-    # transform() is bottom-up; guard the root too.
-    if haystack == needle:
-        return replacement
-    return transform(haystack, rule)
+    def go(e: Expr) -> Expr:
+        if e is needle or e == needle:
+            return replacement
+        return _rebuild(e, go)
+
+    return go(haystack)
 
 
 def _is_empty_set(e: Expr) -> bool:

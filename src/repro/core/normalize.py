@@ -13,10 +13,13 @@ shapes. Normalization makes the match surface small:
 Negation stops at the boundary of an EXISTS quantifier: ``NOT EXISTS`` is
 itself one of the two target calculus forms of Theorem 1, so the normal
 form keeps it.
+
+All three happen in one walk over the predicate (:func:`_normal`).
 """
 
 from __future__ import annotations
 
+from repro.core.trace import current_trace
 from repro.lang.ast import (
     NEGATED_CMP,
     And,
@@ -43,32 +46,67 @@ __all__ = ["normalize_predicate", "push_not"]
 
 def normalize_predicate(expr: Expr) -> Expr:
     """Normalize a boolean expression for classification."""
-    original = expr
-    expr = _eliminate_forall(expr)
-    expr = push_not(expr)
-    expr = transform(expr, _canonical_cmp)
-    if expr != original:
-        from repro.core.trace import current_trace
+    normal = _normal(expr, False)
+    trace = current_trace()
+    if trace is not None and normal != expr:  # render the diff only when someone is looking
+        from repro.lang.pretty import pretty
 
-        trace = current_trace()
-        if trace is not None:  # render the diff only when someone is looking
-            from repro.lang.pretty import pretty
-
-            trace.record(
-                "normalize",
-                "normalize-predicate",
-                detail=f"{pretty(original)} ⇒ {pretty(expr)}",
-            )
-    return expr
+        trace.record(
+            "normalize",
+            "normalize-predicate",
+            detail=f"{pretty(expr)} ⇒ {pretty(normal)}",
+        )
+    return normal
 
 
-def _eliminate_forall(expr: Expr) -> Expr:
-    def rule(e: Expr) -> Expr:
-        if isinstance(e, Quant) and e.kind == QuantKind.FORALL:
-            return Not(Quant(QuantKind.EXISTS, e.var, e.domain, negate(e.pred)))
-        return e
+def _normal(expr: Expr, negated: bool) -> Expr:
+    """The normal form of *expr*, negated when *negated*, in one top-down pass.
 
-    return transform(expr, rule)
+    Along the boolean skeleton (NOT, AND, OR and quantifier bodies) negation
+    is pushed inward and ``FORALL v IN d (p)`` becomes ``NOT EXISTS v IN d
+    (NOT p)``; every other sub-expression, quantifier domains included, goes
+    through :func:`_rewrite_inside`.
+    """
+    if isinstance(expr, Not):
+        return _normal(expr.operand, not negated)
+    if isinstance(expr, And):
+        items = [_normal(i, negated) for i in expr.items]
+        return make_or(items) if negated else make_and(items)
+    if isinstance(expr, Or):
+        items = [_normal(i, negated) for i in expr.items]
+        return make_and(items) if negated else make_or(items)
+    if isinstance(expr, Quant):
+        # NOT (if any) stays on the quantifier itself: ¬∃ is a target form
+        # of Theorem 1.
+        forall = expr.kind == QuantKind.FORALL
+        inner = Quant(
+            QuantKind.EXISTS, expr.var, _rewrite_inside(expr.domain), _normal(expr.pred, forall)
+        )
+        return Not(inner) if negated != forall else inner
+    if not negated:
+        return _rewrite_inside(expr)
+    # Negated leaf.
+    if isinstance(expr, Cmp) and expr.op in NEGATED_CMP:
+        return _canonical_cmp(
+            Cmp(NEGATED_CMP[expr.op], _rewrite_inside(expr.left), _rewrite_inside(expr.right))
+        )
+    if is_true_const(expr):
+        return Const(False)
+    if is_false_const(expr):
+        return Const(True)
+    return Not(_rewrite_inside(expr))
+
+
+def _rewrite_inside(expr: Expr) -> Expr:
+    """Off the boolean skeleton: eliminate FORALL and canonicalise comparisons,
+    bottom-up, without pushing negation."""
+    return transform(expr, _inside_rule)
+
+
+def _inside_rule(e: Expr) -> Expr:
+    if isinstance(e, Quant) and e.kind == QuantKind.FORALL:
+        return Not(Quant(QuantKind.EXISTS, e.var, e.domain, negate(e.pred)))
+    return _canonical_cmp(e)
 
 
 def push_not(expr: Expr, negated: bool = False) -> Expr:
@@ -125,7 +163,6 @@ def _canonical_cmp(e: Expr) -> Expr:
                 return Cmp(CmpOp.EQ, left, _COUNT_CANONICAL_ZERO)
             if op == CmpOp.LE and n == 0:
                 return Cmp(CmpOp.EQ, left, _COUNT_CANONICAL_ZERO)
-        return Cmp(op, left, right)
     return Cmp(op, left, right) if (left is not e.left or right is not e.right or op is not e.op) else e
 
 

@@ -10,7 +10,8 @@ descendant.  Per operator the run records:
 
 * ``rows`` (rows out) and, derived, ``rows_in`` (sum of children's output);
 * ``seconds``, the time inside its own ``next()`` calls — inclusive of its
-  children, which it pulls from in there, and of its own row counting —
+  children, which it pulls from in there, and of its own row counting;
+  the root's also includes turning its batches into the result rows —
   and, derived, ``self_seconds`` (``seconds`` minus the children's), so
   the self times of a tree sum to the root's ``seconds``;
 * the start offset of its first pull (for timeline export);
@@ -207,11 +208,15 @@ def analyze(
 ) -> AnalyzedRun:
     """Execute *op* with instrumentation; returns rows plus statistics."""
     stats = _build_stats(op)
-    start = time.perf_counter()
+    clock = time.perf_counter
+    start = clock()
     rows = []
     for batch in _instrument(op, tables, stats, batch_size):
+        # Turning the root's batches into result rows is the root's work.
+        gathering = clock()
         rows.extend(batch.to_tups())
-    total = time.perf_counter() - start
+        stats.seconds += clock() - gathering
+    total = clock() - start
     return AnalyzedRun(rows, stats, total)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Callable, Iterator
 
@@ -346,31 +347,62 @@ EMPTY_SET = Const(frozenset())
 # Generic traversal
 # ---------------------------------------------------------------------------
 
+#: How a dataclass field holds sub-expressions: one (``Expr``, or ``Expr |
+#: None``), a tuple of them, or a tuple of ``(label, Expr)`` pairs.
+_ONE, _MANY, _LABELLED = "one", "many", "labelled"
+_SLOT_KINDS = {
+    "Expr": _ONE,
+    "Expr | None": _ONE,
+    "tuple[Expr, ...]": _MANY,
+    "tuple[tuple[str, Expr], ...]": _LABELLED,
+}
+
+
+def _give_slots(cls: type) -> None:
+    """Record on *cls* its field names and its child slots ``(index, name, kind)``."""
+    fields = dataclass_fields(cls)
+    cls._field_names = tuple(f.name for f in fields)
+    cls._child_slots = tuple(
+        (index, f.name, _SLOT_KINDS[f.type])
+        for index, f in enumerate(fields)
+        if f.type in _SLOT_KINDS
+    )
+
+
+def _node_classes(base: type = Expr) -> Iterator[type]:
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _node_classes(cls)
+
+
+for _cls in _node_classes():
+    _give_slots(_cls)
+
+
 def children(expr: Expr) -> tuple[Expr, ...]:
     """Direct sub-expressions of *expr*, in syntactic order."""
     out: list[Expr] = []
-    for f in dataclass_fields(expr):  # type: ignore[arg-type]
-        v = getattr(expr, f.name)
-        if isinstance(v, Expr):
-            out.append(v)
-        elif isinstance(v, tuple):
-            for item in v:
-                if isinstance(item, Expr):
-                    out.append(item)
-                elif (
-                    isinstance(item, tuple)
-                    and len(item) == 2
-                    and isinstance(item[1], Expr)
-                ):
-                    out.append(item[1])
+    for _index, name, kind in expr._child_slots:  # type: ignore[attr-defined]
+        v = getattr(expr, name)
+        if kind is _ONE:
+            if v is not None:
+                out.append(v)
+        elif kind is _MANY:
+            out.extend(v)
+        else:
+            out.extend([item[1] for item in v])
     return tuple(out)
 
 
 def walk(expr: Expr) -> Iterator[Expr]:
     """Pre-order traversal of *expr* and all sub-expressions."""
-    yield expr
-    for child in children(expr):
-        yield from walk(child)
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        yield e
+        kids = children(e)
+        if kids:
+            stack.extend(reversed(kids))
 
 
 def transform(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
@@ -378,45 +410,38 @@ def transform(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
 
     ``fn`` receives each (already rebuilt) node and returns its replacement.
     """
-    rebuilt = _rebuild(expr, lambda child: transform(child, fn))
-    return fn(rebuilt)
+
+    def go(e: Expr) -> Expr:
+        return fn(_rebuild(e, go))
+
+    return go(expr)
 
 
 def _rebuild(expr: Expr, rec: Callable[[Expr], Expr]) -> Expr:
     """Rebuild one node with its direct children mapped through *rec*."""
-    kwargs: dict[str, Any] = {}
-    changed = False
-    for f in dataclass_fields(expr):  # type: ignore[arg-type]
-        v = getattr(expr, f.name)
-        if isinstance(v, Expr):
+    values: list[Any] | None = None
+    for index, name, kind in expr._child_slots:  # type: ignore[attr-defined]
+        v = getattr(expr, name)
+        if kind is _ONE:
+            if v is None:
+                continue
             nv = rec(v)
-            changed = changed or nv is not v
-            kwargs[f.name] = nv
-        elif isinstance(v, tuple):
-            new_items = []
-            item_changed = False
-            for item in v:
-                if isinstance(item, Expr):
-                    ni = rec(item)
-                    item_changed = item_changed or ni is not item
-                    new_items.append(ni)
-                elif (
-                    isinstance(item, tuple)
-                    and len(item) == 2
-                    and isinstance(item[1], Expr)
-                ):
-                    ni = rec(item[1])
-                    item_changed = item_changed or ni is not item[1]
-                    new_items.append((item[0], ni))
-                else:
-                    new_items.append(item)
-            kwargs[f.name] = tuple(new_items) if item_changed else v
-            changed = changed or item_changed
+            if nv is v:
+                continue
+        elif kind is _MANY:
+            nv = tuple([rec(item) for item in v])
+            if all(map(operator.is_, nv, v)):
+                continue
         else:
-            kwargs[f.name] = v
-    if not changed:
+            nv = tuple([(label, rec(item)) for label, item in v])
+            if all(new is old for (_, new), (_, old) in zip(nv, v)):
+                continue
+        if values is None:
+            values = [getattr(expr, f) for f in expr._field_names]  # type: ignore[attr-defined]
+        values[index] = nv
+    if values is None:
         return expr
-    return type(expr)(**kwargs)
+    return type(expr)(*values)
 
 
 # ---------------------------------------------------------------------------

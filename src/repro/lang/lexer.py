@@ -9,7 +9,8 @@ plain text.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import LexError
 
@@ -60,34 +61,36 @@ KEYWORDS = frozenset(
     }
 )
 
-_SYMBOLS = (
-    "<>",
-    "!=",
-    "<=",
-    ">=",
-    "(",
-    ")",
-    "{",
-    "}",
-    "[",
-    "]",
-    ",",
-    ".",
-    ":",
-    "|",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
+#: One alternative per token class, tried in this order at each position after
+#: spaces, tabs and carriage returns. Identifiers start with a letter
+#: (``str.isalpha``) or ``_`` and go on with ``\w`` (``str.isalnum`` or ``_``):
+#: ``uword`` finds the non-ASCII candidates and ``tokenize`` turns away those
+#: that start with a non-letter such as ``²`` or ``½``. Numbers are Unicode
+#: decimal digits (``\d``, ``str.isdecimal``), the digits ``int`` and
+#: ``float`` accept. ``end`` takes trailing blanks and ``bad`` any other
+#: character, so the matches tile the text and ``finditer`` skips nothing.
+_TOKEN = re.compile(
+    r"""[ \t\r]*(?:
+      (?P<word>[A-Za-z_]\w*)
+    | (?P<comment>--[^\n]*)
+    | (?P<symbol><>|!=|<=|>=|[-(){}\[\],.:|=<>+*/%])
+    | (?P<nl>\n)
+    | (?P<float>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))
+    | (?P<int>\d+)
+    | (?P<string>'[^'\\]*(?:\\[\s\S][^'\\]*)*'|"[^"\\]*(?:\\[\s\S][^"\\]*)*")
+    | (?P<param>\$\w*)
+    | (?P<uword>[^\W\d]\w*)
+    | (?P<end>\Z)
+    | (?P<bad>[\s\S])
+    )""",
+    re.VERBOSE,
 )
 
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
+_ESCAPE = re.compile(r"\\([\s\S])")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     position: int
@@ -95,109 +98,90 @@ class Token:
     column: int
 
     def is_keyword(self, word: str) -> bool:
-        return self.kind == TokenKind.KEYWORD and self.text == word
+        return self.kind is TokenKind.KEYWORD and self.text == word
 
     def is_symbol(self, sym: str) -> bool:
-        return self.kind == TokenKind.SYMBOL and self.text == sym
+        return self.kind is TokenKind.SYMBOL and self.text == sym
 
     def __repr__(self) -> str:
         return f"{self.kind.value}:{self.text!r}@{self.line}:{self.column}"
 
 
+_KIND = {
+    "symbol": TokenKind.SYMBOL,
+    "int": TokenKind.INT,
+    "float": TokenKind.FLOAT,
+}
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize *text*; raises :class:`LexError` on unrecognised input."""
+    new = tuple.__new__  # a Token without the Python-level __new__
+    keywords, keyword, ident = KEYWORDS, TokenKind.KEYWORD, TokenKind.IDENT
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
     line_start = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        if group == "nl":
             line += 1
-            i += 1
-            line_start = i
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
+        if group == "end" or group == "comment":
             continue
-        if ch == "-" and text[i : i + 2] == "--":  # line comment
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
+        i, j = m.span(group)
         column = i - line_start + 1
-        if ch == "$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1 or text[i + 1].isdigit():
-                raise LexError("expected a parameter name after '$'", i, line, column)
-            tokens.append(Token(TokenKind.PARAM, text[i + 1 : j], i, line, column))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+        if group == "word" or group == "uword":
             word = text[i:j]
+            if group == "uword" and not word[0].isalpha():
+                raise LexError(f"unexpected character {word[0]!r}", i, line, column)
             lowered = word.lower()
-            if lowered in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, lowered, i, line, column))
+            if lowered in keywords:
+                append(new(Token, (keyword, lowered, i, line, column)))
             else:
-                tokens.append(Token(TokenKind.IDENT, word, i, line, column))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            kind = TokenKind.FLOAT if is_float else TokenKind.INT
-            tokens.append(Token(kind, text[i:j], i, line, column))
-            i = j
-            continue
-        if ch in "'\"":
-            quote = ch
-            j = i + 1
-            chars: list[str] = []
-            while j < n and text[j] != quote:
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    mapped = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}.get(esc)
-                    if mapped is None:
-                        raise LexError(f"unknown escape \\{esc}", j, line, j - line_start + 1)
-                    chars.append(mapped)
-                    j += 2
-                else:
-                    chars.append(text[j])
-                    j += 1
-            if j >= n:
-                raise LexError("unterminated string literal", i, line, column)
-            tokens.append(Token(TokenKind.STRING, "".join(chars), i, line, column))
-            i = j + 1
-            continue
-        matched = False
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(TokenKind.SYMBOL, sym, i, line, column))
-                i += len(sym)
-                matched = True
-                break
-        if not matched:
-            raise LexError(f"unexpected character {ch!r}", i, line, column)
-    tokens.append(Token(TokenKind.EOF, "", n, line, n - line_start + 1))
+                append(new(Token, (ident, word, i, line, column)))
+        elif group in _KIND:
+            append(new(Token, (_KIND[group], text[i:j], i, line, column)))
+        elif group == "string":
+            body = text[i + 1 : j - 1]
+            if "\\" in body:
+                body = _unescape(body, i + 1, line, line_start)
+            append(new(Token, (TokenKind.STRING, body, i, line, column)))
+        elif group == "param":
+            name = text[i + 1 : j]
+            if not name or name[0].isdigit():
+                raise LexError("expected a parameter name after '$'", i, line, column)
+            append(new(Token, (TokenKind.PARAM, name, i, line, column)))
+        else:
+            _diagnose(text, i, line, line_start)
+    n = len(text)
+    append(new(Token, (TokenKind.EOF, "", n, line, n - line_start + 1)))
     return tokens
+
+
+def _unescape(body: str, offset: int, line: int, line_start: int) -> str:
+    """The string literal *body* (at *offset* in the text) with escapes resolved."""
+
+    def one(m: re.Match) -> str:
+        mapped = _ESCAPES.get(m.group(1))
+        if mapped is None:
+            j = offset + m.start()
+            raise LexError(f"unknown escape \\{m.group(1)}", j, line, j - line_start + 1)
+        return mapped
+
+    return _ESCAPE.sub(one, body)
+
+
+def _diagnose(text: str, i: int, line: int, line_start: int) -> None:
+    """Raise the :class:`LexError` for the character at *i*, which starts no token."""
+    ch = text[i]
+    if ch in "'\"":
+        # An unterminated literal; an unknown escape before the end wins.
+        j = text.find("\\", i + 1)
+        while j != -1 and j + 1 < len(text):
+            if text[j + 1] not in _ESCAPES:
+                raise LexError(f"unknown escape \\{text[j + 1]}", j, line, j - line_start + 1)
+            j = text.find("\\", j + 2)
+        raise LexError("unterminated string literal", i, line, i - line_start + 1)
+    raise LexError(f"unexpected character {ch!r}", i, line, i - line_start + 1)

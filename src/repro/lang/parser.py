@@ -40,6 +40,8 @@ Notes:
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import ParseError
 from repro.lang.ast import (
     SFW,
@@ -74,21 +76,38 @@ from repro.model.values import NULL
 
 __all__ = ["parse", "parse_query"]
 
-_CMP_SYMBOLS = {
-    "=": CmpOp.EQ,
-    "<>": CmpOp.NE,
-    "!=": CmpOp.NE,
-    "<": CmpOp.LT,
-    "<=": CmpOp.LE,
-    ">": CmpOp.GT,
-    ">=": CmpOp.GE,
+_SYMBOL, _KEYWORD, _IDENT, _EOF = TokenKind.SYMBOL, TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.EOF
+
+#: Each precedence level's operators: token text -> (the kind the token must
+#: have, [node class,] operator). A string literal or parameter can carry the
+#: same text, hence the kind. Every comparison builds a ``Cmp``.
+_CMP_OPS = {
+    "=": (_SYMBOL, CmpOp.EQ),
+    "<>": (_SYMBOL, CmpOp.NE),
+    "!=": (_SYMBOL, CmpOp.NE),
+    "<": (_SYMBOL, CmpOp.LT),
+    "<=": (_SYMBOL, CmpOp.LE),
+    ">": (_SYMBOL, CmpOp.GT),
+    ">=": (_SYMBOL, CmpOp.GE),
+    "in": (_KEYWORD, CmpOp.IN),
+    "subset": (_KEYWORD, CmpOp.SUBSET),
+    "subseteq": (_KEYWORD, CmpOp.SUBSETEQ),
+    "supset": (_KEYWORD, CmpOp.SUPSET),
+    "supseteq": (_KEYWORD, CmpOp.SUPSETEQ),
 }
 
-_CMP_KEYWORDS = {
-    "subset": CmpOp.SUBSET,
-    "subseteq": CmpOp.SUBSETEQ,
-    "supset": CmpOp.SUPSET,
-    "supseteq": CmpOp.SUPSETEQ,
+_ADDITIVE_OPS = {
+    "+": (_SYMBOL, Arith, ArithOp.ADD),
+    "-": (_SYMBOL, Arith, ArithOp.SUB),
+    "union": (_KEYWORD, SetOp, SetOpKind.UNION),
+    "diff": (_KEYWORD, SetOp, SetOpKind.DIFF),
+}
+
+_MULTIPLICATIVE_OPS = {
+    "*": (_SYMBOL, Arith, ArithOp.MUL),
+    "/": (_SYMBOL, Arith, ArithOp.DIV),
+    "%": (_SYMBOL, Arith, ArithOp.MOD),
+    "intersect": (_KEYWORD, SetOp, SetOpKind.INTERSECT),
 }
 
 _AGG_KEYWORDS = {
@@ -99,52 +118,80 @@ _AGG_KEYWORDS = {
     "max": AggFunc.MAX,
 }
 
+_KEYWORD_CONSTANTS = {"true": True, "false": False, "null": NULL}
+
+#: Keywords applied to one parenthesised operand: ``COUNT(e)``, ``TAG(e)`` ...
+_UNARY_KEYWORDS = {
+    **{word: functools.partial(Agg, func) for word, func in _AGG_KEYWORDS.items()},
+    "unnest": UnnestExpr,
+    "tag": TagOf,
+    "payload": PayloadOf,
+}
+
+#: Literal tokens -> the node that holds their value.
+_LITERALS = {
+    TokenKind.INT: lambda text: Const(int(text)),
+    TokenKind.FLOAT: lambda text: Const(float(text)),
+    TokenKind.STRING: Const,
+    TokenKind.PARAM: Param,
+}
+
+#: The deepest look-ahead the grammar takes is ``peek(2)``.
+_LOOKAHEAD = 2
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # *tokens* ends with EOF; more copies of it make every look-ahead an index.
+        self.tokens = tokens + [tokens[-1]] * _LOOKAHEAD
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != TokenKind.EOF:
+        if tok.kind is not _EOF:
             self.pos += 1
         return tok
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return ParseError(f"{message}, found {tok.kind.value} {tok.text!r}", tok.position, tok.line, tok.column)
 
     def expect_symbol(self, sym: str) -> Token:
-        if not self.peek().is_symbol(sym):
+        tok = self.tokens[self.pos]
+        if tok.kind is not _SYMBOL or tok.text != sym:
             raise self.error(f"expected {sym!r}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_keyword(self, word: str) -> Token:
-        if not self.peek().is_keyword(word):
+        tok = self.tokens[self.pos]
+        if tok.kind is not _KEYWORD or tok.text != word:
             raise self.error(f"expected {word.upper()}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != TokenKind.IDENT:
+        tok = self.tokens[self.pos]
+        if tok.kind is not _IDENT:
             raise self.error("expected identifier")
-        self.advance()
+        self.pos += 1
         return tok.text
 
     def accept_symbol(self, sym: str) -> bool:
-        if self.peek().is_symbol(sym):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind is _SYMBOL and tok.text == sym:
+            self.pos += 1
             return True
         return False
 
     def accept_keyword(self, word: str) -> bool:
-        if self.peek().is_keyword(word):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind is _KEYWORD and tok.text == word:
+            self.pos += 1
             return True
         return False
 
@@ -171,63 +218,35 @@ class _Parser:
 
     def parse_comparison(self) -> Expr:
         left = self.parse_additive()
-        tok = self.peek()
-        if tok.kind == TokenKind.SYMBOL and tok.text in _CMP_SYMBOLS:
-            self.advance()
-            right = self.parse_additive()
-            return Cmp(_CMP_SYMBOLS[tok.text], left, right)
-        if tok.kind == TokenKind.KEYWORD and tok.text in _CMP_KEYWORDS:
-            self.advance()
-            right = self.parse_additive()
-            return Cmp(_CMP_KEYWORDS[tok.text], left, right)
-        if tok.is_keyword("in"):
-            self.advance()
-            right = self.parse_additive()
-            return Cmp(CmpOp.IN, left, right)
-        if tok.is_keyword("not") and self.peek(1).is_keyword("in"):
-            self.advance()
-            self.advance()
-            right = self.parse_additive()
-            return Cmp(CmpOp.NOT_IN, left, right)
+        tok = self.tokens[self.pos]
+        entry = _CMP_OPS.get(tok.text)
+        if entry is not None and tok.kind is entry[0]:
+            self.pos += 1
+            return Cmp(entry[1], left, self.parse_additive())
+        if tok.kind is _KEYWORD and tok.text == "not" and self.tokens[self.pos + 1].is_keyword("in"):
+            self.pos += 2
+            return Cmp(CmpOp.NOT_IN, left, self.parse_additive())
         return left
 
     def parse_additive(self) -> Expr:
         left = self.parse_multiplicative()
         while True:
-            tok = self.peek()
-            if tok.is_symbol("+"):
-                self.advance()
-                left = Arith(ArithOp.ADD, left, self.parse_multiplicative())
-            elif tok.is_symbol("-"):
-                self.advance()
-                left = Arith(ArithOp.SUB, left, self.parse_multiplicative())
-            elif tok.is_keyword("union"):
-                self.advance()
-                left = SetOp(SetOpKind.UNION, left, self.parse_multiplicative())
-            elif tok.is_keyword("diff"):
-                self.advance()
-                left = SetOp(SetOpKind.DIFF, left, self.parse_multiplicative())
-            else:
+            tok = self.tokens[self.pos]
+            entry = _ADDITIVE_OPS.get(tok.text)
+            if entry is None or tok.kind is not entry[0]:
                 return left
+            self.pos += 1
+            left = entry[1](entry[2], left, self.parse_multiplicative())
 
     def parse_multiplicative(self) -> Expr:
         left = self.parse_unary()
         while True:
-            tok = self.peek()
-            if tok.is_symbol("*"):
-                self.advance()
-                left = Arith(ArithOp.MUL, left, self.parse_unary())
-            elif tok.is_symbol("/"):
-                self.advance()
-                left = Arith(ArithOp.DIV, left, self.parse_unary())
-            elif tok.is_symbol("%"):
-                self.advance()
-                left = Arith(ArithOp.MOD, left, self.parse_unary())
-            elif tok.is_keyword("intersect"):
-                self.advance()
-                left = SetOp(SetOpKind.INTERSECT, left, self.parse_unary())
-            else:
+            tok = self.tokens[self.pos]
+            entry = _MULTIPLICATIVE_OPS.get(tok.text)
+            if entry is None or tok.kind is not entry[0]:
                 return left
+            self.pos += 1
+            left = entry[1](entry[2], left, self.parse_unary())
 
     def parse_unary(self) -> Expr:
         if self.accept_symbol("-"):
@@ -236,89 +255,56 @@ class _Parser:
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_primary()
-        while self.peek().is_symbol("."):
-            self.advance()
-            label = self.expect_ident()
-            expr = Attr(expr, label)
+        while self.accept_symbol("."):
+            expr = Attr(expr, self.expect_ident())
         return expr
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == TokenKind.INT:
-            self.advance()
-            return Const(int(tok.text))
-        if tok.kind == TokenKind.FLOAT:
-            self.advance()
-            return Const(float(tok.text))
-        if tok.kind == TokenKind.STRING:
-            self.advance()
-            return Const(tok.text)
-        if tok.kind == TokenKind.PARAM:
-            self.advance()
-            return Param(tok.text)
-        if tok.is_keyword("true"):
-            self.advance()
-            return Const(True)
-        if tok.is_keyword("false"):
-            self.advance()
-            return Const(False)
-        if tok.is_keyword("null"):
-            self.advance()
-            return Const(NULL)
-        if tok.is_keyword("select"):
-            return self.parse_sfw()
-        if tok.is_keyword("exists") or tok.is_keyword("forall"):
-            return self.parse_quantifier()
-        if tok.kind == TokenKind.KEYWORD and tok.text in _AGG_KEYWORDS:
-            self.advance()
-            self.expect_symbol("(")
-            operand = self.parse_expr()
-            self.expect_symbol(")")
-            return Agg(_AGG_KEYWORDS[tok.text], operand)
-        if tok.is_keyword("unnest"):
-            self.advance()
-            self.expect_symbol("(")
-            operand = self.parse_expr()
-            self.expect_symbol(")")
-            return UnnestExpr(operand)
-        if tok.is_keyword("tag") or tok.is_keyword("payload"):
-            self.advance()
-            self.expect_symbol("(")
-            operand = self.parse_expr()
-            self.expect_symbol(")")
-            return TagOf(operand) if tok.text == "tag" else PayloadOf(operand)
-        if tok.kind == TokenKind.IDENT:
-            self.advance()
-            return Var(tok.text)
-        if (
-            tok.is_symbol("<")
-            and self.peek(1).kind == TokenKind.IDENT
-            and self.peek(2).is_symbol(":")
-        ):
-            # Variant constructor: < tag : expr >. The payload is parsed at
-            # additive precedence so the closing '>' is not mistaken for a
-            # comparison; parenthesize boolean payloads: <ok: (a = b)>.
-            self.advance()
-            tag = self.expect_ident()
-            self.expect_symbol(":")
-            value = self.parse_additive()
-            self.expect_symbol(">")
-            return VariantExpr(tag, value)
-        if tok.is_symbol("{"):
-            return self.parse_set()
-        if tok.is_symbol("["):
-            return self.parse_list()
-        if tok.is_symbol("("):
-            # Lookahead: "( ident =" (but not "==") starts a tuple constructor.
-            if (
-                self.peek(1).kind == TokenKind.IDENT
-                and self.peek(2).is_symbol("=")
-            ):
-                return self.parse_tuple()
-            self.advance()
-            expr = self.parse_expr()
-            self.expect_symbol(")")
-            return expr
+        tok = self.tokens[self.pos]
+        kind, text = tok.kind, tok.text
+        if kind is _IDENT:
+            self.pos += 1
+            return Var(text)
+        if kind is _KEYWORD:
+            if text == "select":
+                return self.parse_sfw()
+            if text == "exists" or text == "forall":
+                return self.parse_quantifier()
+            if text in _KEYWORD_CONSTANTS:
+                self.pos += 1
+                return Const(_KEYWORD_CONSTANTS[text])
+            if text in _UNARY_KEYWORDS:
+                self.pos += 1
+                self.expect_symbol("(")
+                operand = self.parse_expr()
+                self.expect_symbol(")")
+                return _UNARY_KEYWORDS[text](operand)
+        elif kind is _SYMBOL:
+            if text == "(":
+                # Lookahead: "( ident =" (but not "==") starts a tuple constructor.
+                if self.tokens[self.pos + 1].kind is _IDENT and self.tokens[self.pos + 2].is_symbol("="):
+                    return self.parse_tuple()
+                self.pos += 1
+                expr = self.parse_expr()
+                self.expect_symbol(")")
+                return expr
+            if text == "{":
+                return self.parse_set()
+            if text == "[":
+                return self.parse_list()
+            if text == "<" and self.tokens[self.pos + 1].kind is _IDENT and self.tokens[self.pos + 2].is_symbol(":"):
+                # Variant constructor: < tag : expr >. The payload is parsed at
+                # additive precedence so the closing '>' is not mistaken for a
+                # comparison; parenthesize boolean payloads: <ok: (a = b)>.
+                self.pos += 1
+                tag = self.expect_ident()
+                self.expect_symbol(":")
+                value = self.parse_additive()
+                self.expect_symbol(">")
+                return VariantExpr(tag, value)
+        elif kind in _LITERALS:
+            self.pos += 1
+            return _LITERALS[kind](text)
         raise self.error("expected expression")
 
     def parse_tuple(self) -> Expr:

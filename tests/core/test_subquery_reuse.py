@@ -1,14 +1,14 @@
 """Common subquery elimination: identical subqueries materialize once."""
 
 import random
-import timeit
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.plan import NestJoin
-from repro.core.pipeline import prepare, run_query
+from repro.core.pipeline import prepare, prepared, run_query
+from repro.engine.cache import BUILD_CACHE, clear_build_cache
 from repro.engine.table import Catalog
 from repro.model.values import Tup
 from repro.testing import random_catalog
@@ -83,8 +83,9 @@ def test_reuse_preserves_semantics(seed):
     assert run_query(query, catalog, engine="physical").value == oracle
 
 
-def test_reuse_is_faster_than_double_materialization():
-    # Indirect but robust check: the reused plan does half the join work.
+def test_reuse_builds_the_shared_group_table_once():
+    # The saving reuse buys, counted rather than timed: one group table for
+    # the two identical subqueries, two for the distinct ones.
     from repro.workloads import make_join_workload
 
     wl = make_join_workload(n_left=300, match_rate=0.6, fanout=3, seed=5)
@@ -99,8 +100,21 @@ def test_reuse_is_faster_than_double_materialization():
     )
     assert prepare(reused, cat).join_kinds() == ["nestjoin"]
     assert prepare(distinct, cat).join_kinds() == ["nestjoin", "nestjoin"]
-    t_reused = min(timeit.repeat(lambda: run_query(reused, cat, engine="physical"), number=1, repeat=3))
-    t_distinct = min(
-        timeit.repeat(lambda: run_query(distinct, cat, engine="physical"), number=1, repeat=3)
-    )
-    assert t_reused < t_distinct
+
+    def group_tables():
+        return [key for key in BUILD_CACHE._lru.keys() if key[0].endswith("groups")]
+
+    clear_build_cache()
+    plan = prepared(reused, cat)
+    answer = plan.execute(cat)
+    assert answer == run_query(reused, cat, engine="interpret").value
+    assert len(group_tables()) == 1
+    assert (BUILD_CACHE.stats.inserts, BUILD_CACHE.stats.hits) == (1, 0)
+    # Run again: the one nest join probes the one table, straight from the cache.
+    assert plan.execute(cat) == answer
+    assert (BUILD_CACHE.stats.inserts, BUILD_CACHE.stats.hits) == (1, 1)
+
+    clear_build_cache()
+    assert prepared(distinct, cat).execute(cat) == run_query(distinct, cat, engine="interpret").value
+    assert len(group_tables()) == 2
+    assert BUILD_CACHE.stats.inserts == 2

@@ -230,3 +230,9 @@ class TestParseErrors:
             assert exc.line >= 1
         else:  # pragma: no cover
             pytest.fail("expected ParseError")
+
+    @pytest.mark.parametrize("bad", ["1 '+' 2", "x $union y", "x.a 'in' y", "2 '*' 3", "1 \"=\" 1"])
+    def test_operator_text_in_a_literal_is_no_operator(self, bad):
+        # A string or parameter can spell an operator; only the kind tells.
+        with pytest.raises(ParseError, match="trailing input"):
+            parse(bad)
